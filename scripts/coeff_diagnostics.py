@@ -18,13 +18,11 @@ import pathlib
 import statistics
 import sys
 
-from hwkit.asympt import diagnostic_epsilon, epsilon_csv, exact_family_floats
+from hwkit.asympt import (DAMPING, diagnostic_epsilon, epsilon_csv,
+                          exact_family_floats)
 from hwkit.exact import critical_points
 
 FAMILIES = ("c", "d", "cJ", "dJ", "dF", "dG")
-# n^{-p} damping exponents of the transfer laws asympt_c, asympt_d,
-# asympt_dJ, asympt_dF and asympt_dG in hwkit/asympt.py.
-DAMPING = {"c": 1.5, "d": 1.5, "dJ": 2.5, "dF": 2.5, "dG": 0.75}
 
 
 def main(argv=None):

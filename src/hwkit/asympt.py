@@ -224,18 +224,24 @@ def _geom() -> tuple:
 
 # -- leading-order asymptotic coefficient values --------------------------------
 
+# Polynomial damping exponent p of each family's transfer law
+# a_n ~ A n^{-p} R^{-n} (trig factor); cJ is undamped.
+DAMPING = {"c": 1.5, "d": 1.5, "dJ": 2.5, "dF": 2.5, "dG": 0.75}
+
+
 def asympt_c(n: int) -> float:
     """c_n ~ c_inf (1-omega_1)^{-n} (-1)^n n^{-3/2}."""
     omega1, _, _ = _geom()
     ac = asymptotic_constants()
-    return ac.c_inf * (1 - omega1) ** (-n) * (-1.0) ** n * n ** -1.5
+    return ac.c_inf * (1 - omega1) ** (-n) * (-1.0) ** n * n ** -DAMPING["c"]
 
 
 def asympt_d(n: int) -> float:
     """d_n ~ d_inf rho_x^{-n} cos(theta_x (n - 1/2)) n^{-3/2}."""
     _, rho_x, theta_x = _geom()
     ac = asymptotic_constants()
-    return ac.d_inf * rho_x ** (-n) * math.cos(theta_x * (n - 0.5)) * n ** -1.5
+    return (ac.d_inf * rho_x ** (-n) * math.cos(theta_x * (n - 0.5))
+            * n ** -DAMPING["d"])
 
 
 def asympt_cJ(n: int) -> float:
@@ -247,20 +253,23 @@ def asympt_dJ(n: int) -> float:
     """d_{J,n} ~ d_J rho_x^{-n} cos(theta_x (3/2 - n)) n^{-5/2}."""
     _, rho_x, theta_x = _geom()
     ac = asymptotic_constants()
-    return ac.d_J * rho_x ** (-n) * math.cos(theta_x * (1.5 - n)) * n ** -2.5
+    return (ac.d_J * rho_x ** (-n) * math.cos(theta_x * (1.5 - n))
+            * n ** -DAMPING["dJ"])
 
 
 def asympt_dF(n: int) -> float:
     _, rho_x, theta_x = _geom()
     ac = asymptotic_constants()
-    return ac.d_F * rho_x ** (-n) * math.cos(theta_x * (n - 1.5)) * n ** -2.5
+    return (ac.d_F * rho_x ** (-n) * math.cos(theta_x * (n - 1.5))
+            * n ** -DAMPING["dF"])
 
 
 def asympt_dG(n: int) -> float:
     """d_{G,n} ~ d_G rho_x^{-n} sin(theta_x (n + 1/4)) n^{-3/4}."""
     _, rho_x, theta_x = _geom()
     ac = asymptotic_constants()
-    return ac.d_G * rho_x ** (-n) * math.sin(theta_x * (n + 0.25)) * n ** -0.75
+    return (ac.d_G * rho_x ** (-n) * math.sin(theta_x * (n + 0.25))
+            * n ** -DAMPING["dG"])
 
 
 _FAMILY_FUNS = {"c": asympt_c, "d": asympt_d, "cJ": asympt_cJ,

@@ -190,7 +190,7 @@ def _pricing_config(args):
     domain = tuple(args.domain) if args.domain else None
     kwargs = {"domain": domain} if domain else {}
     F_eval, G_eval = default_evaluators(args.order, **kwargs)
-    quad = QuadratureSpec(scheme=args.quad_scheme, target_rel_err=args.quad_tol)
+    quad = QuadratureSpec(target_rel_err=args.quad_tol)
     return F_eval, G_eval, quad
 
 
@@ -287,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "or a JSON file of {S0,r,sigma,T,K} objects")
         sp.add_argument("--order", type=int, default=6)
         sp.add_argument("--domain", type=float, nargs=2, default=None)
-        sp.add_argument("--quad-scheme", default="tanh-sinh",
-                        choices=("tanh-sinh", "gauss-legendre-composite",
-                                 "newton-cotes-composite"))
         sp.add_argument("--quad-tol", type=float, default=1e-9)
         sp.set_defaults(fn=fn)
 

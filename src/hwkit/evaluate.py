@@ -136,12 +136,6 @@ def make_evaluator(target: str, order: int,
                               offset=offset, prefactor=prefactor)
 
 
-def eval_at(evaluator: PiecewiseEvaluator, rho,
-            cfg: RootSolverConfig = DEFAULT_CONFIG):
-    """Functional alias for PiecewiseEvaluator.__call__."""
-    return evaluator(rho, cfg)
-
-
 def truncation_error_profile(target: str, orders, rho_grid, domain=None):
     """max |series_N - exact| per truncation order N over a rho grid.
 

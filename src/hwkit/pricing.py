@@ -30,13 +30,22 @@ The normalization has two independent routes -- a one-dimensional
 integral against the modified Bessel function K_{-mu} (norm_factor) and
 the plain two-dimensional density integral (norm_direct) -- which the
 test-suite holds against each other at 1e-6.
+
+Work that does not change between calls is done once.  Every integral
+first probes F on one fixed grid of z = log rho to pick its window; the
+probe values F(e^z) are cached per F evaluator, filled on first use and
+held through a weak reference, so an evaluator's entry goes when the
+evaluator does (a callable that cannot be hashed or weakly referenced is
+probed afresh on each call).  The cache assumes F_eval is a pure
+function of rho.  A batch (price_scenarios) computes n(tau) once per
+distinct (tau, mu) and hands it to price_scenario through `norm=`, as a
+density sweep does with f0_density; scenarios are priced serially.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +62,13 @@ DEFAULT_QUAD = QuadratureSpec(scheme="tanh-sinh", levels=12, target_rel_err=1e-9
 PRICING_ORDER = 6  # series truncation used for the benchmark runs
 
 
+def _require_finite(**values):
+    """Raise ValueError naming every input that is NaN or infinite."""
+    bad = [f"{name}={v}" for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError("non-finite input: " + ", ".join(bad))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Black-Scholes Asian call inputs (rates per year, sigma per sqrt-year)."""
@@ -64,6 +80,8 @@ class Scenario:
     K: float
 
     def __post_init__(self):
+        _require_finite(S0=self.S0, r=self.r, sigma=self.sigma, T=self.T,
+                        K=self.K)
         if min(self.S0, self.sigma, self.T, self.K) <= 0:
             raise ValueError("S0, sigma, T, K must be positive")
 
@@ -77,10 +95,15 @@ class ReducedParams:
     mu: float
     k: float
 
+    def __post_init__(self):
+        _require_finite(tau=self.tau, mu=self.mu, k=self.k)
+
     @classmethod
     def from_scenario(cls, s: Scenario) -> "ReducedParams":
-        return cls(tau=0.25 * s.sigma ** 2 * s.T,
-                   mu=2.0 * s.r / s.sigma ** 2 - 1.0,
+        var = s.sigma ** 2
+        if var == 0.0:
+            raise ValueError(f"sigma={s.sigma} underflows: sigma^2 = 0")
+        return cls(tau=0.25 * var * s.T, mu=2.0 * s.r / var - 1.0,
                    k=s.K / s.S0)
 
 
@@ -167,11 +190,28 @@ def _bracket_min_z(F_vals, z, ustar):
     return F_vals - PI2_HALF + np.exp(z) * np.cosh(ustar + z)
 
 
+# the z grid every window probe evaluates F on
+_PROBE_Z = np.arange(-6.0, 6.0 + 1e-9, 0.02)
+_probe_cache = weakref.WeakKeyDictionary()     # F_eval -> F(exp(_PROBE_Z))
+
+
+def _probe_F(F_eval):
+    """F_eval on the probe grid, read-only, cached per evaluator."""
+    try:
+        Fv = _probe_cache.get(F_eval)
+    except TypeError:       # unhashable, or no weak reference to it
+        return np.asarray(F_eval(np.exp(_PROBE_Z)), dtype=float)
+    if Fv is None:
+        Fv = np.array(F_eval(np.exp(_PROBE_Z)), dtype=float)
+        Fv.flags.writeable = False
+        _probe_cache[F_eval] = Fv
+    return Fv
+
+
 def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
     """[z_lo, z_hi] outside which the bracket exceeds its min by >> tau."""
-    span = np.arange(-6.0, 6.0 + 1e-9, 0.02)
-    Fv = np.asarray(F_eval(np.exp(span)), dtype=float)
-    B = _bracket_min_z(Fv, span, ustar_fn(span))
+    span = _PROBE_Z
+    B = _bracket_min_z(_probe_F(F_eval), span, ustar_fn(span))
     bmin = float(B.min())
     delta = tau * (46.0 + 8.0 * (1.0 + abs(mu)))
     inside = B <= bmin + delta
@@ -284,6 +324,7 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
     integrated in z = log rho with the Bessel factor exponentially scaled
     so the combined bracket F - pi^2/2 + rho stays nonnegative.
     """
+    _require_finite(tau=tau, mu=mu)
     if tau <= 0:
         raise ValueError("norm_factor needs tau > 0")
     if F_eval is None or G_eval is None:
@@ -310,6 +351,7 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
 def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None,
                 quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """n(tau) through the plain 2-D density integral (cross-check route)."""
+    _require_finite(tau=tau, mu=mu)
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
     return _core_2d(tau, mu, 0.0, "one", F_eval, G_eval, quad)
@@ -319,6 +361,7 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
                quad: QuadratureSpec = DEFAULT_QUAD,
                norm: Optional[float] = None) -> float:
     """Normalized leading density f0(a, t) of the time average w.r.t. da/a."""
+    _require_finite(a=a, t=t, mu=mu)
     if a <= 0 or t <= 0:
         raise ValueError("f0_density needs a > 0 and t > 0")
     if F_eval is None or G_eval is None:
@@ -350,6 +393,7 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
 def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None,
                  quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Unnormalized mean of the time average under the leading density."""
+    _require_finite(tau=tau, mu=mu)
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
     return _core_2d(tau, mu, 0.0, "mean", F_eval, G_eval, quad)
@@ -364,6 +408,7 @@ def exact_mean(tau: float, mu: float) -> float:
 def price_call_reduced(k: float, tau: float, mu: float, F_eval=None,
                        G_eval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Raw reduced Asian call c_A(k, tau) (benchmark-table convention)."""
+    _require_finite(k=k, tau=tau, mu=mu)
     if k <= 0 or tau <= 0:
         raise ValueError("price_call_reduced needs k > 0 and tau > 0")
     if F_eval is None or G_eval is None:
@@ -374,6 +419,7 @@ def price_call_reduced(k: float, tau: float, mu: float, F_eval=None,
 def price_put_reduced(k: float, tau: float, mu: float, F_eval=None,
                       G_eval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Raw reduced Asian put p_A(k, tau)."""
+    _require_finite(k=k, tau=tau, mu=mu)
     if k <= 0 or tau <= 0:
         raise ValueError("price_put_reduced needs k > 0 and tau > 0")
     if F_eval is None or G_eval is None:
@@ -383,43 +429,41 @@ def price_put_reduced(k: float, tau: float, mu: float, F_eval=None,
 
 def price_scenario(s: Scenario, F_eval=None, G_eval=None,
                    quad: QuadratureSpec = DEFAULT_QUAD,
-                   with_put: bool = False) -> PriceResult:
-    """Full scenario pricing: reduced values, normalization, dollar price."""
+                   with_put: bool = False,
+                   norm: Optional[float] = None) -> PriceResult:
+    """Full scenario pricing: reduced values, normalization, dollar price.
+
+    `norm` is n(tau) at the scenario's (tau, mu) when the caller already
+    has it; otherwise it is computed here.
+    """
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
     rp = ReducedParams.from_scenario(s)
-    n = norm_factor(rp.tau, rp.mu, F_eval, G_eval, quad)
+    if norm is None:
+        norm = norm_factor(rp.tau, rp.mu, F_eval, G_eval, quad)
     c_raw = price_call_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval, quad)
     disc = math.exp(-s.r * s.T) * s.S0
     put_price = p_raw = None
     if with_put:
         p_raw = price_put_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval, quad)
-        put_price = disc * p_raw / n
-    return PriceResult(c_reduced=c_raw, norm=n, price=disc * c_raw / n,
+        put_price = disc * p_raw / norm
+    return PriceResult(c_reduced=c_raw, norm=norm, price=disc * c_raw / norm,
                        put_price=put_price, p_reduced=p_raw)
-
-
-def _max_workers() -> int:
-    env = os.environ.get("HWKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
 
 
 def price_scenarios(scenarios, F_eval=None, G_eval=None,
                     quad: QuadratureSpec = DEFAULT_QUAD,
                     with_put: bool = False):
-    """Batch pricing; scenario fan-out capped by HWKIT_THREADS."""
+    """Batch pricing, in order; n(tau) once per distinct (tau, mu)."""
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    workers = _max_workers()
-    if workers == 1 or len(scenarios) == 1:
-        return [price_scenario(s, F_eval, G_eval, quad, with_put)
-                for s in scenarios]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(price_scenario, s, F_eval, G_eval, quad, with_put)
-                for s in scenarios]
-        return [f.result() for f in futs]
+    norms = {}
+    results = []
+    for s in scenarios:
+        rp = ReducedParams.from_scenario(s)
+        key = (rp.tau, rp.mu)
+        if key not in norms:
+            norms[key] = norm_factor(rp.tau, rp.mu, F_eval, G_eval, quad)
+        results.append(price_scenario(s, F_eval, G_eval, quad, with_put,
+                                      norm=norms[key]))
+    return results

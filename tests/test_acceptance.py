@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import hwkit.tables as tables_mod
-from hwkit.asympt import (asymptotic_constants, diagnostic_epsilon,
+from hwkit.asympt import (DAMPING, asymptotic_constants, diagnostic_epsilon,
                           exact_family_floats, trig_factor)
 from hwkit.exact import F_exact, G_exact, JBS_exact, critical_points, \
     singularity_distance
@@ -119,12 +119,6 @@ def test_criterion_2_constants():
 
 
 # -- criterion 3: transfer-law convergence -----------------------------------------
-
-# Polynomial damping exponent p of each family's transfer law
-# a_n ~ A n^{-p} R^{-n} (trig factor): see asympt_c, asympt_d, asympt_dJ,
-# asympt_dF and asympt_dG in hwkit/asympt.py.
-DAMPING = {"c": 1.5, "d": 1.5, "dJ": 2.5, "dF": 2.5, "dG": 0.75}
-
 
 def test_criterion_3_transfer_convergence():
     t0 = time.time()

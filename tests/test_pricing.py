@@ -1,11 +1,12 @@
 """Density, normalization, parity and benchmark-scenario pricing."""
 
+import gc
 import math
-import os
 
 import numpy as np
 import pytest
 
+from hwkit import pricing
 from hwkit.exact import JBS_exact
 from hwkit.pricing import (SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS, PriceResult,
                            ReducedParams, Scenario, exact_mean, f0_density,
@@ -231,15 +232,113 @@ def test_order_insensitivity_of_prices(evals_pricing):
         assert abs(a - b) < 5e-6
 
 
-def test_batch_pricing_with_thread_cap(evals_pricing):
+def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
+    # table3 scenarios 4-6 and two more strikes share one (tau, mu); the
+    # last scenario has their tau with another mu
     F6, G6 = evals_pricing
-    os.environ["HWKIT_THREADS"] = "2"
-    try:
-        results = price_scenarios(list(TABLE3_SCENARIOS[:3]), F6, G6)
-    finally:
-        del os.environ["HWKIT_THREADS"]
-    for res, row in zip(results, TABLE3_ROWS[:3]):
+    scenarios = (list(TABLE3_SCENARIOS[:6])
+                 + [Scenario(2.0, 0.05, 0.50, 1.0, K) for K in (1.8, 2.2)]
+                 + [Scenario(2.0, 0.10, 0.50, 1.0, 2.0)])
+    single = [price_scenario(s, F6, G6, with_put=True) for s in scenarios]
+    norm_args = []
+
+    def counting_norm_factor(tau, mu, *args, **kwargs):
+        norm_args.append((tau, mu))
+        return norm_factor(tau, mu, *args, **kwargs)
+
+    monkeypatch.setattr(pricing, "norm_factor", counting_norm_factor)
+    batch = price_scenarios(scenarios, F6, G6, with_put=True)
+    assert batch == single              # every field, exactly
+    assert all(r.put_price is not None for r in batch)
+    assert len(norm_args) == len(set(norm_args)) == 5
+    for res, row in zip(batch[:6], TABLE3_ROWS):
         assert res.price == pytest.approx(row[4], abs=2e-4)
+
+
+class _Unhashable:
+    """A callable the probe cache cannot key on."""
+
+    __hash__ = None
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, rho):
+        return self.fn(rho)
+
+
+@pytest.mark.parametrize("kind", ["order 6", "order 40", "plain callable"])
+def test_z_window_same_with_and_without_probe_cache(evals_pricing, evals40,
+                                                     kind):
+    F6 = evals_pricing[0]
+    F = {"order 6": F6, "order 40": evals40[0],
+         "plain callable": lambda rho: np.exp(-rho) + F6(rho)}[kind]
+    log_k = math.log(1.1)
+    ustars = (lambda z: -z, lambda z: np.maximum(log_k, -z),
+              lambda z: np.minimum(log_k, -z))
+    for tau, mu in ((0.0025, 3.0), (0.0625, -0.6)):
+        for ustar in ustars:
+            uncached = pricing._z_window(tau, mu, ustar, _Unhashable(F))
+            assert pricing._z_window(tau, mu, ustar, F) == uncached
+            assert pricing._z_window(tau, mu, ustar, F) == uncached
+    probe = pricing._probe_cache[F]
+    assert np.array_equal(probe, F(np.exp(pricing._PROBE_Z)))
+    assert not probe.flags.writeable
+
+
+def test_probe_cache_does_not_grow_with_fresh_wrappers(evals_pricing):
+    F6 = evals_pricing[0]
+    pricing._z_window(0.01, 0.0, lambda z: -z, F6)
+    size = len(pricing._probe_cache)
+    for _ in range(5):
+        wrapper = lambda rho: F6(rho)  # noqa: E731 -- a new callable each pass
+        pricing._z_window(0.01, 0.0, lambda z: -z, wrapper)
+        assert len(pricing._probe_cache) == size + 1
+        del wrapper
+        gc.collect()
+        assert len(pricing._probe_cache) == size
+    pricing._z_window(0.01, 0.0, lambda z: -z, _Unhashable(F6))
+    assert len(pricing._probe_cache) == size
+
+
+def _no_integral(*args, **kwargs):
+    raise AssertionError("an integral started before input validation")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected_before_any_integral(bad, monkeypatch):
+    monkeypatch.setattr(pricing, "gauss_legendre_nodes", _no_integral)
+    monkeypatch.setattr(pricing, "_z_window", _no_integral)
+    evals = {"F_eval": _no_integral, "G_eval": _no_integral}
+    for i in range(5):
+        args = [2.0, 0.05, 0.5, 1.0, 2.0]
+        args[i] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Scenario(*args)
+    for i in range(3):
+        args = [0.01, 0.0, 1.0]
+        args[i] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ReducedParams(*args)
+        k, tau, mu = args[2], args[0], args[1]
+        for fn in (price_call_reduced, price_put_reduced):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(k, tau, mu, **evals)
+        with pytest.raises(ValueError, match="non-finite"):
+            f0_density(k, tau, mu, **evals, norm=1.0)
+    for tau, mu in ((bad, 0.0), (0.01, bad)):
+        for fn in (norm_factor, norm_direct, reduced_mean):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(tau, mu, **evals)
+
+
+def test_reduced_params_overflow_rejected():
+    # r finite but 2r/sigma^2 overflows; sigma^2 underflows to zero
+    with pytest.raises(ValueError, match="non-finite"):
+        price_scenario(Scenario(2.0, 1e307, 0.01, 1.0, 2.0),
+                       _no_integral, _no_integral)
+    with pytest.raises(ValueError, match="underflows"):
+        ReducedParams.from_scenario(Scenario(2.0, 0.05, 1e-200, 1.0, 2.0))
 
 
 def test_scenario_validation():
