@@ -7,9 +7,9 @@ Hartman-Watson building blocks -> Asian option benchmark pricing
 (pricing) -> CLI (cli).
 """
 
-from .series import (RationalSeries, SeriesError, lagrange_revert, revert_series,
-                     series_add, series_compose, series_div, series_from_text,
-                     series_mul, series_sqrt, series_to_text)
+from .series import (RationalSeries, SeriesError, revert_series, series_add,
+                     series_compose, series_div, series_from_text, series_mul,
+                     series_sqrt, series_to_text)
 from .tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
                      natural_table)
 from .roots import (RootSolveError, RootSolverConfig, solve_kappa, solve_lambda,

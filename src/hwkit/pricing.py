@@ -15,6 +15,9 @@ bracket, minimized at the density peak, so exp never overflows and a
 running max-subtraction keeps the quadrature in range at t as small as
 0.0025.  Integration windows are picked adaptively from the decay of that
 bracket.
+The integrals here run their own Gauss-Legendre node doubling and read
+only `levels` and `target_rel_err` from a QuadratureSpec; its `scheme`
+selects the rule of quadrature.integrate alone and does not apply here.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the

@@ -1,12 +1,10 @@
 """One-dimensional quadrature on finite intervals, vectorized.
 
-Three interchangeable schemes behind one entry point:
+Two interchangeable schemes behind one entry point:
 
 * tanh-sinh (double-exponential) -- the default; excellent for smooth
   integrands and tolerant of endpoint decay/vanishing.
 * composite Gauss-Legendre with node doubling.
-* composite Newton-Cotes (degree 8 panels) with panel doubling, kept as a
-  cross-check mirroring a common reference setup.
 
 Integrands must accept numpy arrays.  Infinite-range integrals in this
 package are always reduced to finite windows first (the windows are
@@ -22,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_SCHEMES = ("tanh-sinh", "gauss-legendre-composite", "newton-cotes-composite")
+_SCHEMES = ("tanh-sinh", "gauss-legendre-composite")
 
 
 class QuadratureError(RuntimeError):
@@ -98,39 +96,10 @@ def _gauss_doubling(f, a, b, spec):
     raise QuadratureError(f"Gauss-Legendre doubling did not converge on [{a}, {b}]")
 
 
-@lru_cache(maxsize=8)
-def _newton_cotes_weights(deg: int):
-    from scipy.integrate import newton_cotes
-    an, _ = newton_cotes(deg, 1)
-    return np.asarray(an)
-
-
-def _newton_cotes_composite(f, a, b, spec, deg: int = 8):
-    base = _newton_cotes_weights(deg)
-    prev = None
-    panels = 4
-    for _ in range(spec.levels):
-        edges = np.linspace(a, b, panels + 1)
-        nodes = np.concatenate(
-            [np.linspace(edges[i], edges[i + 1], deg + 1) for i in range(panels)])
-        h = (b - a) / panels / deg
-        vals = f(nodes).reshape(panels, deg + 1)
-        val = float(h * np.sum(vals @ base))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= spec.target_rel_err * max(abs(val), 1e-300):
-                return val, err
-        prev = val
-        panels *= 2
-    raise QuadratureError(f"Newton-Cotes composite did not converge on [{a}, {b}]")
-
-
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integral of vectorized f over [a, b]; returns (value, err_estimate)."""
     if not b > a:
         raise ValueError("need b > a")
     if spec.scheme == "tanh-sinh":
         return _tanh_sinh(f, a, b, spec)
-    if spec.scheme == "gauss-legendre-composite":
-        return _gauss_doubling(f, a, b, spec)
-    return _newton_cotes_composite(f, a, b, spec)
+    return _gauss_doubling(f, a, b, spec)

@@ -13,11 +13,15 @@ keep everything exact:
 
 Every operation below is exact: no floating point enters this module.
 Composition is the hot path (order ~100 with thousand-digit rationals), so
-it runs fraction-free: each series is scaled to a single integer
-denominator and powers of the inner series are built by integer
-convolution with a content-gcd reduction per step.  That is roughly two
-orders of magnitude faster than naive coefficient-by-coefficient rational
-arithmetic at order 100.
+it runs fraction-free: the inner series is scaled to a single integer
+denominator and its powers are built by integer convolution with a
+content-gcd reduction per step.  series_compose takes one outer series or
+a tuple of outers sharing an inner series, and builds each power once for
+all of them; each outer sums f_k s^k as one integer vector over a running
+denominator and turns rational only at the end.  Powers are streamed, not
+stored, so memory stays O(order * outers).  Newton reversion composes
+g-hat and g' with the same iterate in one pass, and hwkit.tables builds
+the three tables composed with h(e^y) in one pass.
 
 Coefficient growth is real: at order 100 the tables held here have
 numerators and denominators of several hundred digits, and intermediate
@@ -205,35 +209,55 @@ def _int_conv(a, b, n):
     return out
 
 
-def series_compose(f: RationalSeries, s: RationalSeries) -> RationalSeries:
-    """f(s(x)) truncated to min(order).  Requires s(0) = 0.
+def series_compose(f, s: RationalSeries):
+    """f(s(x)), truncated to min(f.order, s.order).  Requires s(0) = 0.
 
-    Runs as sum_k f_k s^k with the powers of s built by fraction-free
+    ``f`` is one outer series or a tuple of them; a tuple gives the tuple
+    of compositions, each truncated as if composed alone, from a single
+    pass over the powers of s.  Each power is built by fraction-free
     integer convolution (single running denominator, content-reduced per
-    step).  The offset and surd prefactor of f pass through unchanged.
+    step) and used once by every outer before the next replaces it.  Each
+    outer accumulates sum_k f_k s^k as one integer vector over its own
+    running denominator (one lcm per term) and becomes rational only at
+    the end.  The offset and surd prefactor of each outer pass through.
     """
     if s.coeffs[0] != 0:
         raise SeriesError("inner series must have zero constant term")
     if s.prefactor_sq != 1 or s.offset:
         raise SeriesError("inner series must be plain (no surd, no offset)")
-    n = _common_order(f, s)
-    S, ds = _to_scaled(list(s.coeffs[: n + 1]))
-    out = [ZERO] * (n + 1)
-    out[0] = f.coeffs[0]
-    P, dp = S[:], ds
-    kmax = n
-    for k in range(1, kmax + 1):
-        fk = f.coeffs[k]
-        if fk:
-            for m in range(k, n + 1):
-                if P[m]:
-                    out[m] += Rational(fk.numerator * P[m],
-                                       fk.denominator * dp)
-        if k < kmax:
-            P = _int_conv(P, S, n)
-            dp = dp * ds
-            P, dp = _content_reduce(P, dp)
-    return RationalSeries(tuple(out), f.prefactor_sq, f.offset)
+    outers = (f,) if isinstance(f, RationalSeries) else tuple(f)
+    if not outers:
+        raise SeriesError("need at least one outer series")
+    orders = [min(g.order, s.order) for g in outers]
+    n = max(orders)
+    S, ds = _to_scaled(s.coeffs[: n + 1])
+    # outer i: sum_k f_k s^k == nums[i] / dens[i], the k = 0 term to start
+    nums = [[Integer(g.coeffs[0].numerator)] + [Integer(0)] * m
+            for g, m in zip(outers, orders)]
+    dens = [Integer(g.coeffs[0].denominator) for g in outers]
+    P, dp = S, ds
+    for k in range(1, n + 1):
+        for i, (g, m) in enumerate(zip(outers, orders)):
+            fk = g.coeffs[k] if k <= m else ZERO
+            if not fk:
+                continue
+            den = Integer(fk.denominator) * dp
+            lcm = _lcm(dens[i], den)
+            acc = nums[i]
+            if lcm != dens[i]:
+                up = lcm // dens[i]
+                acc = [c * up for c in acc]
+            mult = Integer(fk.numerator) * (lcm // den)
+            for j in range(k, m + 1):  # s^k has no terms below x^k
+                if P[j]:
+                    acc[j] += mult * P[j]
+            nums[i], dens[i] = acc, lcm
+        if k < n:
+            P, dp = _content_reduce(_int_conv(P, S, n), dp * ds)
+    out = tuple(RationalSeries(tuple(Rational(c, d) for c in acc),
+                               g.prefactor_sq, g.offset)
+                for g, acc, d in zip(outers, nums, dens))
+    return out[0] if isinstance(f, RationalSeries) else out
 
 
 def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
@@ -286,30 +310,12 @@ def revert_series(g: RationalSeries) -> RationalSeries:
     while order < n:
         order = min(2 * order, n)
         ho = h.truncate(order)
-        gh = series_compose(ghat.truncate(order), ho)
-        gph = series_compose(gprime.truncate(order), ho)
+        gh, gph = series_compose((ghat.truncate(order), gprime.truncate(order)), ho)
         resid = list(gh.coeffs)
         resid[1] -= ONE  # g(h(w)) - w
         corr = series_div(RationalSeries(tuple(resid)), gph)
         h = RationalSeries(tuple(a - b for a, b in zip(ho.coeffs, corr.coeffs)))
     return h
-
-
-def lagrange_revert(g: RationalSeries) -> RationalSeries:
-    """Classical Lagrange inversion; O(N^2) series products, oracle use only."""
-    if g.order < 1 or g.coeffs[1] == 0:
-        raise SeriesError("vanishing linear coefficient: series not invertible")
-    n = g.order
-    ghat = (ZERO,) + g.coeffs[1:]
-    # base = z/ghat(z) as a series (ghat has a simple zero at 0)
-    base = series_div(RationalSeries((ONE,) + (ZERO,) * (n - 1)),
-                      RationalSeries(ghat[1:]))
-    out = [ZERO, base.coeffs[0]]
-    power = base
-    for k in range(2, n + 1):
-        power = series_mul(power, base)
-        out.append(power.coeffs[k - 1] / k)
-    return RationalSeries(tuple(out))
 
 
 # -- serialization ------------------------------------------------------------

@@ -83,6 +83,28 @@ def rate_kernel_series(order: int) -> RationalSeries:
     return RationalSeries(tuple(coeffs))
 
 
+def sqrt_coth_series(order: int) -> RationalSeries:
+    """sqrt(z) coth(sqrt z) = cosh(sqrt z)/g(z) as a plain series in z."""
+    return series_div(cosh_sqrt_series(order), sinhc_series(order))
+
+
+def _exponent_kernel(q: RationalSeries) -> RationalSeries:
+    coeffs = [-c for c in q.coeffs]
+    coeffs[0] += 1
+    coeffs[1] += rat(1, 2)
+    return RationalSeries(tuple(coeffs), offset=OFFSET_PI2_HALF_MINUS_1)
+
+
+def _prefactor_kernel(q: RationalSeries) -> RationalSeries:
+    order = q.order - 1
+    w = list(q.coeffs)
+    w[0] -= 1                                   # sqrt(z)coth(sqrt z) - 1
+    t = series_shift_down(RationalSeries(tuple(3 * c for c in w)))  # 3W/z
+    root = series_sqrt(t.truncate(order))
+    inv = series_div(RationalSeries((ONE,) + (ZERO,) * order), root)
+    return RationalSeries(inv.coeffs, prefactor_sq=3)
+
+
 def exponent_kernel_series(order: int) -> RationalSeries:
     """z/2 - sqrt(z)/tanh(sqrt z) + pi^2/2, split as series + symbolic offset.
 
@@ -90,12 +112,7 @@ def exponent_kernel_series(order: int) -> RationalSeries:
     constant pi^2/2 - 1 rides on the offset flag so downstream tables can
     be compared exactly.
     """
-    g = sinhc_series(order)
-    q = series_div(cosh_sqrt_series(order), g)  # sqrt(z) coth(sqrt z)
-    coeffs = [-c for c in q.coeffs]
-    coeffs[0] += 1
-    coeffs[1] += rat(1, 2)
-    return RationalSeries(tuple(coeffs), offset=OFFSET_PI2_HALF_MINUS_1)
+    return _exponent_kernel(sqrt_coth_series(order))
 
 
 def prefactor_kernel_series(order: int) -> RationalSeries:
@@ -104,16 +121,9 @@ def prefactor_kernel_series(order: int) -> RationalSeries:
     Writing the argument as (z/3)*T(z) with T(0) = 1 splits off the surd:
     the result is sqrt(3)/sqrt(T), held as a RationalSeries with
     prefactor_sq = 3.  The quotient shifts a series down by one power of
-    z, so the base series are built one order higher.
+    z, so sqrt(z)coth(sqrt z) is built one order higher.
     """
-    g = sinhc_series(order + 1)
-    q = series_div(cosh_sqrt_series(order + 1), g)
-    w = list(q.coeffs)
-    w[0] -= 1                                   # sqrt(z)coth(sqrt z) - 1
-    t = series_shift_down(RationalSeries(tuple(3 * c for c in w)))  # 3W/z
-    root = series_sqrt(t.truncate(order))
-    inv = series_div(RationalSeries((ONE,) + (ZERO,) * order), root)
-    return RationalSeries(inv.coeffs, prefactor_sq=3)
+    return _prefactor_kernel(sqrt_coth_series(order + 1))
 
 
 def flip_odd_signs(a: RationalSeries) -> RationalSeries:
@@ -125,6 +135,22 @@ def flip_odd_signs(a: RationalSeries) -> RationalSeries:
 
 # -- cached master tables ------------------------------------------------------
 
+# The closed forms evaluate the kernels at h(1/rho); expanding in
+# y = log rho therefore composes with h(e^{-y}), i.e. with the odd-sign-
+# flipped log table.  "natural" tables keep +y as the argument of h; they
+# are what the coefficient asymptotics describe.  The three tables composed
+# with h(e^y) are built together: one composition pass over the powers of
+# h(e^y), and one sqrt(z)coth(sqrt z) for the exponent and prefactor kernels.
+_H_LOG_GROUP = ("jbs_log", "F_natural", "G_natural")
+
+
+def _build_h_log_group(order: int) -> dict:
+    q = sqrt_coth_series(order + 1)
+    kernels = (rate_kernel_series(order), _exponent_kernel(q.truncate(order)),
+               _prefactor_kernel(q))
+    return dict(zip(_H_LOG_GROUP, series_compose(kernels, _table("h_log", order))))
+
+
 def _build(name: str, order: int) -> RationalSeries:
     if name == "h":
         return revert_series(sinhc_series(order))
@@ -132,16 +158,6 @@ def _build(name: str, order: int) -> RationalSeries:
         return series_compose(_table("h", order), expm1_series(order))
     if name == "jbs_omega":
         return series_compose(rate_kernel_series(order), _table("h", order))
-    if name == "jbs_log":
-        return series_compose(rate_kernel_series(order), _table("h_log", order))
-    # The closed forms evaluate the kernels at h(1/rho); expanding in
-    # y = log rho therefore composes with h(e^{-y}), i.e. with the
-    # odd-sign-flipped log table.  "natural" tables keep +y as the
-    # argument of h; they are what the coefficient asymptotics describe.
-    if name == "F_natural":
-        return series_compose(exponent_kernel_series(order), _table("h_log", order))
-    if name == "G_natural":
-        return series_compose(prefactor_kernel_series(order), _table("h_log", order))
     if name == "F":
         return flip_odd_signs(_table("F_natural", order))
     if name == "G":
@@ -158,8 +174,14 @@ def _table(name: str, order: int) -> RationalSeries:
     with _cache_lock:
         have = _cache.get(name)
         if have is None or have.order < order:
-            have = _build(name, order)
-            _cache[name] = have
+            if name in _H_LOG_GROUP:
+                for member, table in _build_h_log_group(order).items():
+                    kept = _cache.get(member)
+                    if kept is None or kept.order < order:
+                        _cache[member] = table
+            else:
+                _cache[name] = _build(name, order)
+            have = _cache[name]
     return have.truncate(order)
 
 

@@ -6,11 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwkit.rational import rat
+from hwkit.rational import ONE, ZERO, rat
 from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
-                          lagrange_revert, revert_series, series_add,
-                          series_compose, series_div, series_from_text,
-                          series_mul, series_sqrt, series_to_text)
+                          revert_series, series_add, series_compose, series_div,
+                          series_from_text, series_mul, series_sqrt,
+                          series_to_text)
+
+
+def lagrange_revert(g: RationalSeries) -> RationalSeries:
+    """Classical Lagrange inversion; O(N^2) series products, an oracle for
+    the Newton reversion in hwkit.series."""
+    if g.order < 1 or g.coeffs[1] == 0:
+        raise SeriesError("vanishing linear coefficient: series not invertible")
+    n = g.order
+    ghat = (ZERO,) + g.coeffs[1:]
+    # base = z/ghat(z) as a series (ghat has a simple zero at 0)
+    base = series_div(RationalSeries((ONE,) + (ZERO,) * (n - 1)),
+                      RationalSeries(ghat[1:]))
+    out = [ZERO, base.coeffs[0]]
+    power = base
+    for k in range(2, n + 1):
+        power = series_mul(power, base)
+        out.append(power.coeffs[k - 1] / k)
+    return RationalSeries(tuple(out))
 
 
 def S(*coeffs, **kw):
@@ -84,6 +102,15 @@ def test_compose_identity_inner():
 def test_compose_requires_zero_constant():
     with pytest.raises(SeriesError):
         series_compose(S(1, 1), S(1, 1))
+
+
+@pytest.mark.parametrize("outer", [S(1, 1), (S(1, 1), S(0, 2, 3))])
+@pytest.mark.parametrize("inner", [S(1, 1), S(0, 1, prefactor_sq=3),
+                                   S(0, 1, offset=OFFSET_PI2_HALF_MINUS_1)])
+def test_compose_refuses_inner(outer, inner):
+    # nonzero constant term, surd or offset on the inner series
+    with pytest.raises(SeriesError):
+        series_compose(outer, inner)
 
 
 def test_revert_quadratic():
@@ -193,6 +220,29 @@ def test_compose_associates(f, s, t):
     left = series_compose(series_compose(f, s), t)
     right = series_compose(f, series_compose(s, t))
     assert left == right
+
+
+def _dressed(a, surd, offset):
+    """a with an optional surd prefactor and an optional symbolic offset."""
+    return RationalSeries(a.coeffs, rat(surd),
+                          OFFSET_PI2_HALF_MINUS_1 if offset else "")
+
+
+outer_strategy = st.builds(_dressed, series_strategy(max_order=7),
+                           st.sampled_from([1, 3, "5/2"]), st.booleans())
+
+
+@settings(deadline=None)
+@given(st.lists(outer_strategy, min_size=1, max_size=4),
+       series_strategy(max_order=7, zero_const=True))
+def test_tuple_compose_equals_per_outer(outers, s):
+    # each result is truncated to min(its outer's order, s.order), exactly
+    # as a composition of that outer alone
+    together = series_compose(tuple(outers), s)
+    assert isinstance(together, tuple)
+    assert together == tuple(series_compose(f, s) for f in outers)
+    for f, out in zip(outers, together):
+        assert out.order == min(f.order, s.order)
 
 
 @given(series_strategy(max_order=6))

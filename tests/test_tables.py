@@ -1,13 +1,16 @@
 """Exact-rational checks of the coefficient tables (no float comparisons)."""
 
+import hashlib
+
 import pytest
 
+from hwkit import tables
 from hwkit.rational import rat
-from hwkit.series import SeriesError, series_compose, series_mul
+from hwkit.series import SeriesError, series_compose, series_mul, series_to_text
 from hwkit.tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
-                          expm1_series, flip_odd_signs, natural_table,
-                          prefactor_kernel_series, rate_kernel_series,
-                          sinhc_series)
+                          exponent_kernel_series, expm1_series, flip_odd_signs,
+                          natural_table, prefactor_kernel_series,
+                          rate_kernel_series, sinhc_series)
 
 # the standard printed tables these generators must reproduce exactly
 H_FIRST = ["0", "6", "-9/5", "144/175"]
@@ -22,6 +25,17 @@ G_TABLE = ["1", "-1/5", "-1/70", "1/1050", "299/323400", "96917/525525000",
            "-308907281743/109790791110000000",
            "1589498602063/4940585599950000000",
            "28340195926465733/103406456606953500000000"]
+
+
+# SHA-256 of series_to_text of the order-100 tables (as the benchmark pins them)
+ORDER100_DIGESTS = {
+    "h": "4f8570d992bd7a4a69ec42187bbb062a34959c550d661cc7ac6038f88a2de0a3",
+    "jbs_log": "1ad68bafaba5dde3895fabd9da368a6bbbf9cb6c3989209f47349be76bc34f01",
+    "F": "9ed8722abca266154c60c7e7333619277fce0baf91957e70645b2c6231e653e8",
+    "G": "1a1b5507b063acc29cd8a7fcbcfc1ac8b7380ed55397df4dfd1b172c5515c9bf",
+}
+TABLE_GETTERS = {"h": coeffs_h, "jbs_log": lambda n: coeffs_jbs(n, "log"),
+                 "F": coeffs_F, "G": coeffs_G}
 
 
 def rlist(strings):
@@ -143,3 +157,48 @@ def test_order_cap_and_validation():
         coeffs_jbs(4, "bogus")
     with pytest.raises(SeriesError):
         coeffs_F(200)  # above the documented cap
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty table cache for the test; the previous one comes back after."""
+    with tables._cache_lock:
+        saved = dict(tables._cache)
+        tables._cache.clear()
+    yield
+    with tables._cache_lock:
+        tables._cache.clear()
+        tables._cache.update(saved)
+
+
+def test_order100_tables_pinned_after_a_small_build(cold_cache):
+    # order-6 tables first, so every order-100 table grows over a cached one
+    for name in ("G", "jbs_log", "F", "h"):
+        TABLE_GETTERS[name](6)
+    for name, digest in ORDER100_DIGESTS.items():
+        text = series_to_text(TABLE_GETTERS[name](100))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("first", ["G", "jbs_log", "F"])
+def test_tables_independent_of_request_order(cold_cache, first):
+    n = 24
+    TABLE_GETTERS[first](n)
+    got = {name: get(n) for name, get in TABLE_GETTERS.items()}
+    reference = {"jbs_log": series_compose(rate_kernel_series(n), coeffs_h_log(n)),
+                 "F": flip_odd_signs(series_compose(exponent_kernel_series(n),
+                                                    coeffs_h_log(n))),
+                 "G": flip_odd_signs(series_compose(prefactor_kernel_series(n),
+                                                    coeffs_h_log(n)))}
+    for name, table in reference.items():
+        assert got[name] == table, name
+
+
+def test_group_build_keeps_higher_order_tables(cold_cache):
+    high = coeffs_jbs(30, "log")
+    del tables._cache["F_natural"]   # leaves jbs_log cached at order 30
+    coeffs_F(12)                     # rebuilds the group at order 12
+    assert tables._cache["jbs_log"].order == 30
+    assert tables._cache["F_natural"].order == 12
+    assert coeffs_jbs(30, "log") == high
+
