@@ -45,9 +45,15 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 
 def rat(num, den=1) -> Rational:
-    """Build a rational from ints, strings like '144/175', or rationals."""
+    """Build a rational from ints, strings like '144/175', or rationals.
+
+    A Rational with den == 1 comes back as it is: renormalizing it would
+    cost one big gcd per coefficient of every series built.
+    """
     if isinstance(num, str):
         return Rational(num)
+    if den == 1 and isinstance(num, Rational):
+        return num
     return Rational(num, den)
 
 

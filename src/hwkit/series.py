@@ -12,16 +12,26 @@ keep everything exact:
   expansion point), again kept out of the rational coefficient table.
 
 Every operation below is exact: no floating point enters this module.
-Composition is the hot path (order ~100 with thousand-digit rationals), so
-it runs fraction-free: the inner series is scaled to a single integer
-denominator and its powers are built by integer convolution with a
-content-gcd reduction per step.  series_compose takes one outer series or
-a tuple of outers sharing an inner series, and builds each power once for
-all of them; each outer sums f_k s^k as one integer vector over a running
-denominator and turns rational only at the end.  Powers are streamed, not
-stored, so memory stays O(order * outers).  Newton reversion composes
-g-hat and g' with the same iterate in one pass, and hwkit.tables builds
-the three tables composed with h(e^y) in one pass.
+The four kernels that do real work (product, division, square root,
+composition) do no per-term rational arithmetic; they run on one
+fraction-free integer core: a rational vector is scaled to integers over a
+single common denominator, the work is integer products and sums, and each
+output coefficient becomes a rational once.
+
+* series_mul: both operands scaled, one integer convolution.
+* series_div, series_sqrt: triangular recurrences that hold the output so
+  far as integers over one running denominator; each new term is one
+  integer dot product and one rational, and the vector is rescaled only
+  when a new term's denominator does not divide the running one.
+* series_compose (the hot path: order ~100 with thousand-digit
+  rationals): the inner series' powers are built by integer convolution
+  with a content-gcd reduction per step.  It takes one outer series or a
+  tuple of outers sharing an inner series, and builds each power once for
+  all of them; each outer sums f_k s^k as one integer vector over a
+  running denominator.  Powers are streamed, not stored, so memory stays
+  O(order * outers).  Newton reversion composes g-hat and g' with the
+  same iterate in one pass, and hwkit.tables builds the three tables
+  composed with h(e^y) in one pass.
 
 Coefficient growth is real: at order 100 the tables held here have
 numerators and denominators of several hundred digits, and intermediate
@@ -31,6 +41,7 @@ convolutions a few thousand.  DEFAULT_MAX_ORDER caps requests at 128.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .rational import Rational, rat, ZERO, ONE, rational_sqrt, _gcd, _lcm, Integer
 
@@ -100,84 +111,7 @@ def _common_order(a: RationalSeries, b: RationalSeries) -> int:
     return min(a.order, b.order)
 
 
-def series_add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    """Coefficientwise sum, truncated to the smaller order.
-
-    Addition under a square-root prefactor has no rational closed form
-    unless the prefactors agree, so mismatched prefactors are an error.
-    """
-    if a.prefactor_sq != b.prefactor_sq:
-        raise SeriesError("cannot add series with different surd prefactors")
-    if a.offset and b.offset:
-        raise SeriesError("cannot add two offset-carrying series")
-    n = _common_order(a, b)
-    coeffs = tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1))
-    return RationalSeries(coeffs, a.prefactor_sq, a.offset or b.offset)
-
-
-def series_neg(a: RationalSeries) -> RationalSeries:
-    if a.offset:
-        raise SeriesError("cannot negate an offset-carrying series")
-    return RationalSeries(tuple(-c for c in a.coeffs), a.prefactor_sq)
-
-
-def series_scale(a: RationalSeries, s) -> RationalSeries:
-    if a.offset:
-        raise SeriesError("cannot scale an offset-carrying series")
-    s = rat(s)
-    return RationalSeries(tuple(c * s for c in a.coeffs), a.prefactor_sq)
-
-
-def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    """Cauchy product truncated to min(order); surd prefactors multiply."""
-    if a.offset or b.offset:
-        raise SeriesError("multiply the offset in by hand before calling series_mul")
-    n = _common_order(a, b)
-    out = [ZERO] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai:
-            for j in range(n + 1 - i):
-                bj = b.coeffs[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return RationalSeries(tuple(out), a.prefactor_sq * b.prefactor_sq)
-
-
-def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    """a/b by the standard triangular recurrence; needs b[0] != 0."""
-    if a.offset or b.offset:
-        raise SeriesError("offset-carrying series cannot be divided")
-    if b.coeffs[0] == 0:
-        raise SeriesError("division needs a nonzero constant term in the divisor")
-    n = _common_order(a, b)
-    inv0 = 1 / b.coeffs[0]
-    out = [ZERO] * (n + 1)
-    for k in range(n + 1):
-        acc = a.coeffs[k]
-        for i in range(1, k + 1):
-            bi = b.coeffs[i]
-            if bi:
-                acc -= bi * out[k - i]
-        out[k] = acc * inv0
-    return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
-
-
-def series_diff(a: RationalSeries) -> RationalSeries:
-    if a.order == 0:
-        return RationalSeries((ZERO,), a.prefactor_sq)
-    return RationalSeries(tuple(a.coeffs[i] * i for i in range(1, a.order + 1)),
-                          a.prefactor_sq)
-
-
-def series_shift_down(a: RationalSeries, k: int = 1) -> RationalSeries:
-    """Divide by x^k; the dropped low coefficients must vanish."""
-    if any(c != 0 for c in a.coeffs[:k]):
-        raise SeriesError("series is not divisible by x^k")
-    return RationalSeries(a.coeffs[k:], a.prefactor_sq, a.offset)
-
-
-# -- fraction-free composition core ------------------------------------------
+# -- fraction-free integer core -----------------------------------------------
 
 def _to_scaled(coeffs):
     """(integer coefficient list, common denominator) for a rational list."""
@@ -207,6 +141,107 @@ def _int_conv(a, b, n):
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def _append_scaled(nums, den, q):
+    """Append the rational q to the integer vector nums / den, in place.
+
+    Returns the new common denominator: when q's denominator does not
+    divide den, nums is rescaled once by lcm // den.
+    """
+    d = Integer(q.denominator)
+    if den % d:
+        lcm = _lcm(den, d)
+        up = lcm // den
+        nums[:] = [c * up for c in nums]
+        den = lcm
+    nums.append(Integer(q.numerator) * (den // d))
+    return den
+
+
+def series_add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Coefficientwise sum, truncated to the smaller order.
+
+    Addition under a square-root prefactor has no rational closed form
+    unless the prefactors agree, so mismatched prefactors are an error.
+    """
+    if a.prefactor_sq != b.prefactor_sq:
+        raise SeriesError("cannot add series with different surd prefactors")
+    if a.offset and b.offset:
+        raise SeriesError("cannot add two offset-carrying series")
+    n = _common_order(a, b)
+    coeffs = tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1))
+    return RationalSeries(coeffs, a.prefactor_sq, a.offset or b.offset)
+
+
+def series_neg(a: RationalSeries) -> RationalSeries:
+    if a.offset:
+        raise SeriesError("cannot negate an offset-carrying series")
+    return RationalSeries(tuple(-c for c in a.coeffs), a.prefactor_sq)
+
+
+def series_scale(a: RationalSeries, s) -> RationalSeries:
+    if a.offset:
+        raise SeriesError("cannot scale an offset-carrying series")
+    s = rat(s)
+    return RationalSeries(tuple(c * s for c in a.coeffs), a.prefactor_sq)
+
+
+def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Cauchy product truncated to min(order); surd prefactors multiply.
+
+    Both operands are scaled to integer vectors over one denominator each,
+    convolved in integers, and each output coefficient becomes one rational.
+    """
+    if a.offset or b.offset:
+        raise SeriesError("multiply the offset in by hand before calling series_mul")
+    n = _common_order(a, b)
+    A, da = _to_scaled(a.coeffs[: n + 1])
+    B, db = _to_scaled(b.coeffs[: n + 1])
+    den = da * db
+    return RationalSeries(tuple(Rational(c, den) for c in _int_conv(A, B, n)),
+                          a.prefactor_sq * b.prefactor_sq)
+
+
+def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """a/b by the triangular recurrence b_0 q_k = a_k - sum_{i>=1} b_i q_{k-i}.
+
+    Needs b[0] != 0.  The divisor is scaled to integers B/db and the
+    quotient so far is held as integers N over one running denominator D,
+    so each new term is one integer dot product and one rational:
+    q_k = (a_k db D - sum_i B_i N_{k-i}) / (D B_0).
+    """
+    if a.offset or b.offset:
+        raise SeriesError("offset-carrying series cannot be divided")
+    if b.coeffs[0] == 0:
+        raise SeriesError("division needs a nonzero constant term in the divisor")
+    n = _common_order(a, b)
+    B, db = _to_scaled(b.coeffs[: n + 1])
+    tail = B[1:]
+    out = []
+    N, D = [], Integer(1)
+    for k in range(n + 1):
+        ak = a.coeffs[k]
+        p, q = Integer(ak.numerator), Integer(ak.denominator)
+        dot = sum(map(mul, tail[:k], reversed(N)))
+        c = Rational(p * db * D - q * dot, q * D * B[0])
+        out.append(c)
+        D = _append_scaled(N, D, c)
+    return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
+
+
+def series_diff(a: RationalSeries) -> RationalSeries:
+    if a.order == 0:
+        return RationalSeries((ZERO,), a.prefactor_sq)
+    return RationalSeries(tuple(a.coeffs[i] * i for i in range(1, a.order + 1)),
+                          a.prefactor_sq)
+
+
+def series_shift_down(a: RationalSeries, k: int = 1) -> RationalSeries:
+    """Divide by x^k; the dropped low coefficients must vanish."""
+    if any(c != 0 for c in a.coeffs[:k]):
+        raise SeriesError("series is not divisible by x^k")
+    return RationalSeries(a.coeffs[k:], a.prefactor_sq, a.offset)
 
 
 def series_compose(f, s: RationalSeries):
@@ -266,7 +301,11 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
     The result r satisfies r*r == a termwise, where r carries
     ``prefactor_sq``; hence a.coeffs[0]/prefactor_sq must be the square of
     a rational.  Callers split off the surd themselves (for the
-    Hartman-Watson prefactor that factor is 3).
+    Hartman-Watson prefactor that factor is 3).  The recurrence
+    2 r_0 r_k = a_k / prefactor_sq - sum_{0<i<k} r_i r_{k-i} runs with the
+    root so far held as integers N over one running denominator D: each
+    new term is one integer dot product (halved by symmetry) and one
+    rational.
     """
     if a.offset:
         raise SeriesError("offset-carrying series has no exact square root")
@@ -278,14 +317,22 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
     if r0 is None or r0 == 0:
         raise SeriesError(
             f"constant term {a.coeffs[0]} is not a rational square times {pf}")
-    n = a.order
-    out = [r0] + [ZERO] * n
-    inv = 1 / (2 * r0)
-    for k in range(1, n + 1):
-        acc = a.coeffs[k] / pf
-        for i in range(1, k):
-            acc -= out[i] * out[k - i]
-        out[k] = acc * inv
+    pn, pd = Integer(pf.numerator), Integer(pf.denominator)
+    rn2, rd = 2 * Integer(r0.numerator), Integer(r0.denominator)
+    out = [r0]
+    N, D = [Integer(r0.numerator)], Integer(r0.denominator)
+    for k in range(1, a.order + 1):
+        ak = a.coeffs[k]
+        half = N[1:(k + 1) // 2]
+        dot = 2 * sum(map(mul, half, reversed(N[k - len(half):k])))
+        if k % 2 == 0:
+            dot += N[k // 2] * N[k // 2]
+        # r_k = (a_k/pf - dot/D^2) / (2 r0)
+        qn = Integer(ak.denominator) * pn
+        D2 = D * D
+        c = Rational((Integer(ak.numerator) * pd * D2 - qn * dot) * rd, qn * D2 * rn2)
+        out.append(c)
+        D = _append_scaled(N, D, c)
     return RationalSeries(tuple(out), pf)
 
 

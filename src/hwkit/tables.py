@@ -37,6 +37,7 @@ input coefficients contaminate lower-order output ones.
 from __future__ import annotations
 
 import threading
+from math import factorial
 
 from .rational import rat, ZERO, ONE
 from .series import (DEFAULT_MAX_ORDER, OFFSET_PI2_HALF_MINUS_1, RationalSeries,
@@ -47,25 +48,18 @@ _cache: dict = {}
 _cache_lock = threading.RLock()  # _build recurses into _table for sub-tables
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def sinhc_series(order: int) -> RationalSeries:
     """g(z) = sinh(sqrt z)/sqrt z = sum z^n/(2n+1)!."""
-    return RationalSeries(tuple(rat(1, _factorial(2 * n + 1)) for n in range(order + 1)))
+    return RationalSeries(tuple(rat(1, factorial(2 * n + 1)) for n in range(order + 1)))
 
 
 def cosh_sqrt_series(order: int) -> RationalSeries:
     """cosh(sqrt z) = sum z^n/(2n)!."""
-    return RationalSeries(tuple(rat(1, _factorial(2 * n)) for n in range(order + 1)))
+    return RationalSeries(tuple(rat(1, factorial(2 * n)) for n in range(order + 1)))
 
 
 def expm1_series(order: int) -> RationalSeries:
-    return RationalSeries(tuple(rat(1, _factorial(n)) if n else ZERO
+    return RationalSeries(tuple(rat(1, factorial(n)) if n else ZERO
                                 for n in range(order + 1)))
 
 

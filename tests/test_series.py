@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwkit.rational import ONE, ZERO, rat
+from hwkit.rational import ONE, ZERO, rat, rational_sqrt
 from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
                           revert_series, series_add, series_compose, series_div,
                           series_from_text, series_mul, series_sqrt,
@@ -29,6 +29,46 @@ def lagrange_revert(g: RationalSeries) -> RationalSeries:
         power = series_mul(power, base)
         out.append(power.coeffs[k - 1] / k)
     return RationalSeries(tuple(out))
+
+
+def reference_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Cauchy product over rationals, one rational multiply-add per term;
+    an oracle for the integer convolution in hwkit.series.series_mul."""
+    n = min(a.order, b.order)
+    out = [ZERO] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return RationalSeries(tuple(out), a.prefactor_sq * b.prefactor_sq)
+
+
+def reference_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Triangular division recurrence over rationals; an oracle for the
+    fraction-free hwkit.series.series_div."""
+    n = min(a.order, b.order)
+    inv0 = 1 / b.coeffs[0]
+    out = [ZERO] * (n + 1)
+    for k in range(n + 1):
+        acc = a.coeffs[k]
+        for i in range(1, k + 1):
+            acc -= b.coeffs[i] * out[k - i]
+        out[k] = acc * inv0
+    return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
+
+
+def reference_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
+    """Triangular square-root recurrence over rationals; an oracle for the
+    fraction-free hwkit.series.series_sqrt."""
+    pf = rat(prefactor_sq)
+    r0 = rational_sqrt(a.coeffs[0] / pf)
+    out = [r0] + [ZERO] * a.order
+    inv = 1 / (2 * r0)
+    for k in range(1, a.order + 1):
+        acc = a.coeffs[k] / pf
+        for i in range(1, k):
+            acc -= out[i] * out[k - i]
+        out[k] = acc * inv
+    return RationalSeries(tuple(out), pf)
 
 
 def S(*coeffs, **kw):
@@ -72,6 +112,37 @@ def test_div_reproduces_sinhc_coefficients():
     from hwkit.tables import sinhc_series
     g = series_div(sinhc_series(2), S(1, 0, 0))
     assert g.coeffs == (rat(1), rat(1, 6), rat(1, 120))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series_div(S(1, 1, offset=OFFSET_PI2_HALF_MINUS_1), S(1, 1)),
+    lambda: series_div(S(1, 1), S(1, 1, offset=OFFSET_PI2_HALF_MINUS_1)),
+    lambda: series_mul(S(1, 1, offset=OFFSET_PI2_HALF_MINUS_1), S(1, 1)),
+    lambda: series_sqrt(S(1, 1, offset=OFFSET_PI2_HALF_MINUS_1)),
+    lambda: series_sqrt(S(1, 1, prefactor_sq=3)),
+    lambda: series_sqrt(S(1, 1), prefactor_sq=3),
+    lambda: series_sqrt(S(0, 1)),
+    lambda: series_sqrt(S(-4, 1)),
+], ids=["div-offset-dividend", "div-offset-divisor", "mul-offset", "sqrt-offset",
+        "sqrt-prefactored", "sqrt-non-square-surd", "sqrt-zero-constant",
+        "sqrt-negative-constant"])
+def test_kernels_refuse(call):
+    with pytest.raises(SeriesError):
+        call()
+
+
+def test_kernels_match_references_on_large_denominators():
+    # sinhc and cosh(sqrt z) at order 30 carry denominators up to 61!, so
+    # the running denominator of each recurrence is rescaled many times
+    from hwkit.tables import cosh_sqrt_series, sinhc_series
+    g, c = sinhc_series(30), cosh_sqrt_series(30)
+    assert series_mul(g, c) == reference_mul(g, c)
+    assert series_div(c, g) == reference_div(c, g)
+    assert series_div(g, c.truncate(17)) == reference_div(g, c.truncate(17))
+    assert series_sqrt(g) == reference_sqrt(g)
+    g3 = RationalSeries(tuple(3 * x for x in g.coeffs))
+    assert series_sqrt(g3, prefactor_sq=3) == reference_sqrt(g3, prefactor_sq=3)
+    assert series_sqrt(series_mul(c, c)) == c
 
 
 def test_sqrt_perfect_square():
@@ -243,6 +314,47 @@ def test_tuple_compose_equals_per_outer(outers, s):
     assert together == tuple(series_compose(f, s) for f in outers)
     for f, out in zip(outers, together):
         assert out.order == min(f.order, s.order)
+
+
+surds = st.sampled_from([1, 3, "5/2", "1/7"])
+
+
+@st.composite
+def divisors(draw):
+    """Plain or surd series with a nonzero (either sign) constant term and
+    some interior coefficients forced to zero."""
+    coeffs = draw(st.lists(small_rats, min_size=1, max_size=9))
+    zeros = draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
+    coeffs = [c if not z else Fraction(0) for c, z in zip(coeffs, zeros)]
+    coeffs[0] = draw(st.sampled_from([-1, 1])) * draw(
+        st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12))
+    return RationalSeries(tuple(rat(c) for c in coeffs), rat(draw(surds)))
+
+
+@given(series_strategy(max_order=8), divisors(), surds)
+def test_div_equals_reference(a, b, surd):
+    a = RationalSeries(a.coeffs, rat(surd))
+    out = series_div(a, b)
+    assert out == reference_div(a, b)
+    assert out.order == min(a.order, b.order)
+
+
+@given(series_strategy(max_order=8), divisors())
+def test_mul_equals_reference(a, b):
+    out = series_mul(a, b)
+    assert out == reference_mul(a, b)
+    assert out.order == min(a.order, b.order)
+
+
+@given(series_strategy(max_order=8), surds,
+       st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12))
+def test_sqrt_equals_reference(a, surd, root0):
+    # constant term surd * root0^2, so the declared surd splits off exactly
+    pf = rat(surd)
+    a = RationalSeries((pf * rat(root0) ** 2,) + a.coeffs[1:])
+    out = series_sqrt(a, prefactor_sq=pf)
+    assert out == reference_sqrt(a, prefactor_sq=pf)
+    assert out.prefactor_sq == pf
 
 
 @given(series_strategy(max_order=6))
