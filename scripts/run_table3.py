@@ -7,12 +7,12 @@ to the spectral reference values and the deviations, as CSV to stdout or
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
-from hwkit.pricing import (SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS, ReducedParams,
-                           default_evaluators, price_scenarios)
-from hwkit.quadrature import QuadratureSpec
+from hwkit.pricing import (DEFAULT_QUAD, SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS,
+                           ReducedParams, default_evaluators, price_scenarios)
 
 
 def main(argv=None):
@@ -23,7 +23,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     F_eval, G_eval = default_evaluators(args.order)
-    quad = QuadratureSpec(target_rel_err=args.quad_tol)
+    quad = dataclasses.replace(DEFAULT_QUAD, target_rel_err=args.quad_tol)
     t0 = time.time()
     results = price_scenarios(list(TABLE3_SCENARIOS), F_eval, G_eval, quad)
     elapsed = time.time() - t0

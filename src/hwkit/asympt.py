@@ -13,12 +13,13 @@ resulting asymptotic amplitudes, and emits the relative-error sequences
 eps_n = coeff_n / asymptotic_n - 1 used to study how fast the transfer
 laws kick in.
 
-C1 has a closed form; C2 does not, so it is obtained by locally reverting
-the square-root-reduced Taylor expansion of g about z_1 in floating point
-(the Taylor coefficients of the entire function g at z_1 are plain
-convergent sums -- no numerical differentiation anywhere).  A second,
-independent route fits h(omega) - z_1 - C1 sqrt(omega - omega_1) on a
-shrinking real grid; the test-suite holds the two against each other.
+C1 and C2 follow in closed form from the first two nonzero Taylor
+coefficients a2, a3 of g about z_1 (C1 = 1/sqrt(a2), C2 = -a3/(2 a2^2),
+by reverting the square-root-reduced expansion); those coefficients of
+the entire function g are plain convergent sums -- no numerical
+differentiation anywhere.  The test-suite checks both against a direct
+fit of h(omega) - z_1 - C1 sqrt(omega - omega_1) on a shrinking real
+grid.
 
 Conventions (documented here once, used by diagnostic_epsilon):
 
@@ -105,37 +106,6 @@ def _series_div_f(a, b, n):
     return out
 
 
-def _series_sqrt_f(a, n):
-    out = [mp.sqrt(a[0])]
-    for k in range(1, n + 1):
-        acc = a[k] if k < len(a) else mp.mpf(0)
-        for i in range(1, k):
-            acc -= out[i] * out[k - i]
-        out.append(acc / (2 * out[0]))
-    return out
-
-
-def _revert_f(s, n):
-    """Invert u -> s(u) = s1 u + s2 u^2 + ... in floats, to order n."""
-    b = [mp.mpf(0), 1 / s[1]]
-    for m in range(2, n + 1):
-        u = b + [mp.mpf(0)]
-        cur = [mp.mpf(1)] + [mp.mpf(0)] * m
-        tot = mp.mpf(0)
-        for k in range(1, m + 1):
-            new = [mp.mpf(0)] * (m + 1)
-            for i, ci in enumerate(cur):
-                if ci:
-                    for j in range(1, m + 1 - i):
-                        if j < len(u) and u[j]:
-                            new[i + j] += ci * u[j]
-            cur = new
-            if k < len(s) and s[k]:
-                tot += s[k] * cur[m]
-        b.append(-tot / s[1])
-    return b
-
-
 def _compute_all():
     with mp.workdps(_MP_DPS):
         eta1 = mp.findroot(lambda e: mp.sin(e) - e * mp.cos(e), mp.mpf("4.4934"))
@@ -145,18 +115,15 @@ def _compute_all():
         theta_x = mp.atan2(mp.pi, mp.log(-omega1))
 
         fact = mp.factorial
-        g_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n + 1), z1, 6)
-        cosh_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n), z1, 6)
+        g_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n + 1), z1, 3)
+        cosh_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n), z1, 3)
 
-        # local reversion about z1: omega - omega_1 = sum_{j>=2} a_j u^j,
-        # u = z - z1.  Square-root reduce (s = u sqrt(a2 + a3 u + ...)),
-        # revert, and read off u = C1 s + C2 s^2 + ...
+        # local reversion about z1: omega - omega_1 = a2 u^2 + a3 u^3 + ...,
+        # u = z - z1.  With s = u sqrt(a2 + a3 u + ...) = sqrt(a2) u +
+        # a3/(2 sqrt(a2)) u^2 + ..., reverting gives u = C1 s + C2 s^2 + ...
         a = g_tay
-        A = [a[2], a[3], a[4], a[5], a[6]]
-        sq = _series_sqrt_f(A, 4)
-        s = [mp.mpf(0)] + sq  # s(u) coefficients
-        b = _revert_f(s, 4)
-        C1, C2 = b[1], b[2]
+        C1 = 1 / mp.sqrt(a[2])
+        C2 = -a[3] / (2 * a[2] ** 2)
 
         # Taylor of the rate/exponent kernels at z1 via series quotients of
         # entire pieces: rate = z/2 - (cosh sqrt z - 1)/g, exponent =
@@ -324,34 +291,3 @@ def epsilon_csv(rows) -> str:
     for n, ce, ca, eps, tf in rows:
         lines.append(f"{n},{ce!r},{ca!r},{eps!r},{tf!r}")
     return "\n".join(lines) + "\n"
-
-
-# -- independent validation routes ----------------------------------------------
-
-def h_real_axis(omega: float) -> float:
-    """h(omega) for real omega in (omega_1, 1], by bisecting g on (z_1, 0].
-
-    Used to validate C1/C2 against a direct fit of the branch-point
-    expansion; g is monotone increasing on (z_1, 0] with range
-    (omega_1, 1].
-    """
-    pd = puiseux_data()
-    if not pd.omega1 < omega <= 1.0:
-        raise ValueError("omega outside (omega_1, 1]")
-
-    def g(z):
-        if z == 0:
-            return 1.0
-        r = math.sqrt(-z)
-        return math.sin(r) / r
-
-    lo, hi = pd.z1 + 1e-13, 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < omega:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * (1 + abs(mid)):
-            break
-    return 0.5 * (lo + hi)

@@ -10,8 +10,7 @@ function, so the working form is the exponentially scaled
 
 whose integrand is bounded by 1 near u = 0 and decays double-
 exponentially.  The symmetry K_nu = K_{-nu} is automatic (cosh is even in
-nu).  The recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu from the
-half-integer closed forms is kept around as an independent cross-check.
+nu).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, integrate
 
-_DEFAULT_SPEC = QuadratureSpec(scheme="tanh-sinh", levels=12, target_rel_err=1e-12)
+_DEFAULT_SPEC = QuadratureSpec(levels=12, target_rel_err=1e-12)
 
 
 def _cutoff(nu: float, x: float, decades: float = 42.0) -> float:
@@ -68,17 +67,3 @@ def bessel_k(nu: float, x: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float
         return math.exp(max(bessel_k_log(nu, x, spec), -745.0))
     return math.exp(-x) * bessel_k_scaled(nu, x, spec)
 
-
-def bessel_k_half_integer(k: int, x: float) -> float:
-    """K_{k+1/2}(x) from the closed form of K_{1/2} and the recurrence."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    base = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    if k == 0:
-        return base
-    prev, cur = base, base * (1.0 + 1.0 / x)  # K_{1/2}, K_{3/2}
-    nu = 1.5
-    for _ in range(k - 1):
-        prev, cur = cur, prev + (2.0 * nu / x) * cur
-        nu += 1.0
-    return cur

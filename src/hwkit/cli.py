@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage errors (argparse), 3 file/parse errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -184,13 +185,12 @@ def _load_scenarios(path):
 
 
 def _pricing_config(args):
-    from .pricing import default_evaluators
-    from .quadrature import QuadratureSpec
+    from .pricing import DEFAULT_QUAD, default_evaluators
 
     domain = tuple(args.domain) if args.domain else None
     kwargs = {"domain": domain} if domain else {}
     F_eval, G_eval = default_evaluators(args.order, **kwargs)
-    quad = QuadratureSpec(target_rel_err=args.quad_tol)
+    quad = dataclasses.replace(DEFAULT_QUAD, target_rel_err=args.quad_tol)
     return F_eval, G_eval, quad
 
 

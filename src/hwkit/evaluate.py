@@ -83,20 +83,14 @@ class PiecewiseEvaluator:
         return out
 
     def _poly(self, y):
-        acc = np.zeros_like(y)
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return self.prefactor * acc + self.offset
+        return self.prefactor * exact._horner(self.coeffs, y) + self.offset
 
     def _eval_scalar(self, rho: float, cfg: RootSolverConfig) -> float:
         if rho <= 0:
             raise EvaluatorError("argument must be positive")
         y = math.log(rho)
         if self.log_lo <= y <= self.log_hi:
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * y + c
-            return self.prefactor * acc + self.offset
+            return self._poly(y)
         return self._outer(rho, cfg)
 
 

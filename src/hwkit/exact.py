@@ -37,7 +37,8 @@ SERIES_GUARD = 1e-3
 _GUARD_ORDER = 24
 
 
-def _horner(coeffs, y: float) -> float:
+def _horner(coeffs, y):
+    """sum coeffs[n] y^n for a float or a numpy array y."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * y + c

@@ -46,12 +46,6 @@ def theta_asympt(rho: float, t: float, F_eval=None, G_eval=None) -> float:
     return math.exp(-(F - exact.PI2_HALF) / t) * G / (2.0 * math.pi * t)
 
 
-def theta_asympt_log(rho: float, t: float, F_eval=None, G_eval=None) -> float:
-    F = F_eval(rho) if F_eval is not None else exact.F_exact(rho)
-    G = G_eval(rho) if G_eval is not None else exact.G_exact(rho)
-    return -(F - exact.PI2_HALF) / t + math.log(G) - math.log(2.0 * math.pi * t)
-
-
 def _dps_for(t: float) -> int:
     # digits lost to cancellation ~ pi^2/(2t) / ln 10, plus working margin
     return int(math.pi ** 2 / (2.0 * t) / math.log(10.0) * 1.3) + 25

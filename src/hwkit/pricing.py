@@ -15,9 +15,11 @@ bracket, minimized at the density peak, so exp never overflows and a
 running max-subtraction keeps the quadrature in range at t as small as
 0.0025.  Integration windows are picked adaptively from the decay of that
 bracket.
-The integrals here run their own Gauss-Legendre node doubling and read
-only `levels` and `target_rel_err` from a QuadratureSpec; its `scheme`
-selects the rule of quadrature.integrate alone and does not apply here.
+Every integral runs through one Gauss-Legendre node-doubling driver
+(_doubling): n doubles from a fixed start (96 outer z-nodes for the 2-D
+core, 64 for the 1-D integrals) at most `levels` times until two levels
+agree to `target_rel_err`, else QuadratureError.  DEFAULT_QUAD's 4 levels
+cap the 2-D core at 768 z-nodes and the 1-D integrals at 512.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -61,7 +63,7 @@ from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre_nodes
 
 PI2_HALF = exact.PI2_HALF
 
-DEFAULT_QUAD = QuadratureSpec(scheme="tanh-sinh", levels=12, target_rel_err=1e-9)
+DEFAULT_QUAD = QuadratureSpec(levels=4, target_rel_err=1e-9)
 PRICING_ORDER = 6  # series truncation used for the benchmark runs
 
 
@@ -275,6 +277,26 @@ def _log_payoff(payoff, U, k):
     return np.zeros_like(U)  # "one"
 
 
+def _doubling(level, lo, hi, n0, quad: QuadratureSpec, what: str) -> float:
+    """Gauss-Legendre node doubling on [lo, hi] for a one-level evaluator.
+
+    level(zn, zw) returns the integral's value on one node set.  Starting
+    at n0 nodes, n doubles up to quad.levels times; the first value that
+    agrees with the previous level to quad.target_rel_err is returned.
+    """
+    prev = None
+    n = n0
+    for _ in range(quad.levels):
+        val = level(*gauss_legendre_nodes(lo, hi, n))
+        if prev is not None and abs(val - prev) <= quad.target_rel_err * max(
+                abs(val), 1e-300):
+            return val
+        prev = val
+        n *= 2
+    raise QuadratureError(f"{what} did not converge in {quad.levels} levels "
+                          f"({n // 2} nodes)")
+
+
 def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
     """(1/(2 pi tau)) e^{-mu^2 tau/2} double integral of the weighted density.
 
@@ -290,15 +312,11 @@ def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
             return np.minimum(log_k, -z)
         return -z
 
-    z_lo, z_hi = _z_window(tau, mu, ustar_fn, F_eval)
-    prev = None
-    n_z = 96
-    for _ in range(quad.levels):
-        zn, zw = gauss_legendre_nodes(z_lo, z_hi, n_z)
+    def level(zn, zw):
         Fv = np.asarray(F_eval(np.exp(zn)), dtype=float)
         Gv = np.asarray(G_eval(np.exp(zn)), dtype=float)
         u_lo, u_hi = _u_bounds(zn, tau, mu, payoff, k)
-        xi, wxi = gauss_legendre_nodes(0.0, 1.0, n_z)
+        xi, wxi = gauss_legendre_nodes(0.0, 1.0, len(zn))
         U = u_lo[:, None] + (u_hi - u_lo)[:, None] * xi[None, :]
         WU = (u_hi - u_lo)[:, None] * wxi[None, :]
         bracket = (Fv[:, None] - PI2_HALF
@@ -306,14 +324,14 @@ def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
         L = (-bracket / tau + mu * zn[:, None] + mu * U
              + np.log(Gv)[:, None] + _log_payoff(payoff, U, k))
         M = float(L.max())
-        val = math.exp(M) * float(np.einsum("ij,ij,i->", np.exp(L - M), WU, zw))
-        if prev is not None and abs(val - prev) <= quad.target_rel_err * max(
-                abs(val), 1e-300):
-            return val * math.exp(-0.5 * mu * mu * tau) / (2.0 * math.pi * tau)
-        prev = val
-        n_z *= 2
-    raise QuadratureError(f"2-D pricing integral did not converge "
-                          f"(tau={tau}, mu={mu}, k={k}, payoff={payoff})")
+        return math.exp(M) * float(np.einsum("ij,ij,i->", np.exp(L - M), WU,
+                                             zw))
+
+    z_lo, z_hi = _z_window(tau, mu, ustar_fn, F_eval)
+    val = _doubling(level, z_lo, z_hi, 96, quad,
+                    f"2-D pricing integral (tau={tau}, mu={mu}, k={k}, "
+                    f"payoff={payoff})")
+    return val * math.exp(-0.5 * mu * mu * tau) / (2.0 * math.pi * tau)
 
 
 # -- public operations -----------------------------------------------------------
@@ -332,23 +350,19 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
         raise ValueError("norm_factor needs tau > 0")
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
-    prev = None
-    n_z = 64
-    for _ in range(quad.levels):
-        zn, zw = gauss_legendre_nodes(z_lo, z_hi, n_z)
+
+    def level(zn, zw):
         rho = np.exp(zn)
         Fv = np.asarray(F_eval(rho), dtype=float)
         Gv = np.asarray(G_eval(rho), dtype=float)
         kv = np.array([bessel_k_scaled(-mu, x) for x in rho / tau])
         bracket = Fv - PI2_HALF + rho
-        val = float(np.dot(Gv * kv * np.exp(-bracket / tau), zw))
-        if prev is not None and abs(val - prev) <= quad.target_rel_err * max(
-                abs(val), 1e-300):
-            return val * math.exp(-0.5 * mu * mu * tau) / (math.pi * tau)
-        prev = val
-        n_z *= 2
-    raise QuadratureError(f"normalization integral did not converge (tau={tau})")
+        return float(np.dot(Gv * kv * np.exp(-bracket / tau), zw))
+
+    z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
+    val = _doubling(level, z_lo, z_hi, 64, quad,
+                    f"normalization integral (tau={tau}, mu={mu})")
+    return val * math.exp(-0.5 * mu * mu * tau) / (math.pi * tau)
 
 
 def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None,
@@ -372,25 +386,21 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     if norm is None:
         norm = norm_factor(t, mu, F_eval, G_eval, quad)
     x = math.log(a)
-    z_lo, z_hi = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
-    prev = None
-    n_z = 64
-    for _ in range(quad.levels):
-        zn, zw = gauss_legendre_nodes(z_lo, z_hi, n_z)
+
+    def level(zn, zw):
         rho = np.exp(zn)
         Fv = np.asarray(F_eval(rho), dtype=float)
         Gv = np.asarray(G_eval(rho), dtype=float)
         bracket = Fv - PI2_HALF + rho * np.cosh(x + zn)
         L = -bracket / t + mu * zn + np.log(Gv)
         M = float(L.max())
-        val = math.exp(M) * float(np.dot(np.exp(L - M), zw))
-        if prev is not None and abs(val - prev) <= quad.target_rel_err * max(
-                abs(val), 1e-300):
-            return (val * math.exp(mu * x - 0.5 * mu * mu * t)
-                    / (2.0 * math.pi * t) / norm)
-        prev = val
-        n_z *= 2
-    raise QuadratureError(f"density integral did not converge (a={a}, t={t})")
+        return math.exp(M) * float(np.dot(np.exp(L - M), zw))
+
+    z_lo, z_hi = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
+    val = _doubling(level, z_lo, z_hi, 64, quad,
+                    f"density integral (a={a}, t={t}, mu={mu})")
+    return (val * math.exp(mu * x - 0.5 * mu * mu * t)
+            / (2.0 * math.pi * t) / norm)
 
 
 def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None,

@@ -1,10 +1,11 @@
 """One-dimensional quadrature on finite intervals, vectorized.
 
-Two interchangeable schemes behind one entry point:
-
-* tanh-sinh (double-exponential) -- the default; excellent for smooth
-  integrands and tolerant of endpoint decay/vanishing.
-* composite Gauss-Legendre with node doubling.
+* integrate: tanh-sinh (double-exponential) with level halving of the
+  step; excellent for smooth integrands and tolerant of endpoint
+  decay/vanishing.  The Bessel cosh integral is its one user.
+* gauss_legendre_nodes: cached Gauss-Legendre nodes mapped to [a, b],
+  from which pricing's node-doubling driver builds every pricing
+  integral.
 
 Integrands must accept numpy arrays.  Infinite-range integrals in this
 package are always reduced to finite windows first (the windows are
@@ -20,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_SCHEMES = ("tanh-sinh", "gauss-legendre-composite")
-
 
 class QuadratureError(RuntimeError):
     pass
@@ -29,13 +28,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str = "tanh-sinh"
     levels: int = 12
     target_rel_err: float = 1e-9
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
         if self.target_rel_err <= 0:
             raise ValueError("target_rel_err must be positive")
 
@@ -67,7 +63,14 @@ def _tanh_sinh_nodes(level: int, t_max: float = 3.6):
     return x[keep], w[keep]
 
 
-def _tanh_sinh(f, a, b, spec):
+def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Tanh-sinh integral of vectorized f over [a, b]: (value, err_estimate).
+
+    The step halves from level 2 to spec.levels until two levels agree to
+    spec.target_rel_err, else QuadratureError.
+    """
+    if not b > a:
+        raise ValueError("need b > a")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     prev = None
     for level in range(2, spec.levels + 1):
@@ -79,27 +82,3 @@ def _tanh_sinh(f, a, b, spec):
                 return val, err
         prev = val
     raise QuadratureError(f"tanh-sinh did not converge on [{a}, {b}]")
-
-
-def _gauss_doubling(f, a, b, spec):
-    prev = None
-    n = 32
-    for _ in range(spec.levels):
-        x, w = gauss_legendre_nodes(a, b, n)
-        val = float(np.dot(f(x), w))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= spec.target_rel_err * max(abs(val), 1e-300):
-                return val, err
-        prev = val
-        n *= 2
-    raise QuadratureError(f"Gauss-Legendre doubling did not converge on [{a}, {b}]")
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Integral of vectorized f over [a, b]; returns (value, err_estimate)."""
-    if not b > a:
-        raise ValueError("need b > a")
-    if spec.scheme == "tanh-sinh":
-        return _tanh_sinh(f, a, b, spec)
-    return _gauss_doubling(f, a, b, spec)

@@ -16,8 +16,10 @@ composed with h:
     exponent kernel    F(z) = z/2 - sqrt(z)/tanh(sqrt z) + pi^2/2
     prefactor kernel   G(z) = sqrt(z) / sqrt(sqrt(z)/tanh(sqrt z) - 1)
 
-tanh-type series are obtained by dividing the sinh-in-sqrt(z) and
-cosh-in-sqrt(z) even series rather than via Bernoulli numbers.
+Q(z) = sqrt(z) coth(sqrt z) is obtained by dividing the cosh-in-sqrt(z)
+and sinh-in-sqrt(z) even series rather than via Bernoulli numbers; all
+three kernels are read off Q, the rate kernel through
+sqrt(z) tanh(sqrt z/2) = 2Q(z) - 2Q(z/4).
 
 Variable conventions (this bites -- see coeffs_F below):
 
@@ -64,17 +66,8 @@ def expm1_series(order: int) -> RationalSeries:
 
 
 def rate_kernel_series(order: int) -> RationalSeries:
-    """z/2 - sqrt(z) tanh(sqrt z/2) as a plain series in z.
-
-    sqrt(z) tanh(sqrt z/2) = (cosh sqrt z - 1) / g(z), an even-series
-    quotient, so no half powers appear.
-    """
-    g = sinhc_series(order)
-    cosh_m1 = RationalSeries((ZERO,) + cosh_sqrt_series(order).coeffs[1:])
-    q = series_div(cosh_m1, g)
-    coeffs = [-c for c in q.coeffs]
-    coeffs[1] += rat(1, 2)
-    return RationalSeries(tuple(coeffs))
+    """z/2 - sqrt(z) tanh(sqrt z/2) as a plain series in z."""
+    return _rate_kernel(sqrt_coth_series(order))
 
 
 def sqrt_coth_series(order: int) -> RationalSeries:
@@ -87,6 +80,13 @@ def _exponent_kernel(q: RationalSeries) -> RationalSeries:
     coeffs[0] += 1
     coeffs[1] += rat(1, 2)
     return RationalSeries(tuple(coeffs), offset=OFFSET_PI2_HALF_MINUS_1)
+
+
+def _rate_kernel(q: RationalSeries) -> RationalSeries:
+    # sqrt(z) tanh(sqrt z/2) = 2Q(z) - 2Q(z/4), Q(z) = sqrt(z)coth(sqrt z)
+    coeffs = [2 * c / 4 ** n - 2 * c for n, c in enumerate(q.coeffs)]
+    coeffs[1] += rat(1, 2)
+    return RationalSeries(tuple(coeffs))
 
 
 def _prefactor_kernel(q: RationalSeries) -> RationalSeries:
@@ -134,14 +134,14 @@ def flip_odd_signs(a: RationalSeries) -> RationalSeries:
 # flipped log table.  "natural" tables keep +y as the argument of h; they
 # are what the coefficient asymptotics describe.  The three tables composed
 # with h(e^y) are built together: one composition pass over the powers of
-# h(e^y), and one sqrt(z)coth(sqrt z) for the exponent and prefactor kernels.
+# h(e^y), and one sqrt(z)coth(sqrt z) for all three kernels.
 _H_LOG_GROUP = ("jbs_log", "F_natural", "G_natural")
 
 
 def _build_h_log_group(order: int) -> dict:
     q = sqrt_coth_series(order + 1)
-    kernels = (rate_kernel_series(order), _exponent_kernel(q.truncate(order)),
-               _prefactor_kernel(q))
+    q_n = q.truncate(order)
+    kernels = (_rate_kernel(q_n), _exponent_kernel(q_n), _prefactor_kernel(q))
     return dict(zip(_H_LOG_GROUP, series_compose(kernels, _table("h_log", order))))
 
 

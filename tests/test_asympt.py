@@ -7,7 +7,7 @@ import pytest
 
 from hwkit.asympt import (asympt_c, asympt_cJ, asympt_d, asympt_dF, asympt_dG,
                           asympt_dJ, asymptotic_constants, diagnostic_epsilon,
-                          epsilon_csv, exact_family_floats, h_real_axis,
+                          epsilon_csv, exact_family_floats,
                           kernel_derivatives_at_z1, puiseux_data, trig_factor)
 from hwkit.exact import critical_points
 from hwkit.tables import coeffs_h
@@ -22,6 +22,34 @@ D_G_PRINTED = 0.719253
 
 def sig5(x):
     return float(f"{x:.5g}")
+
+
+def h_real_axis(omega: float) -> float:
+    """h(omega) for real omega in (omega_1, 1], by bisecting g on (z_1, 0].
+
+    The oracle for C1/C2: a direct fit of the branch-point expansion; g
+    is monotone increasing on (z_1, 0] with range (omega_1, 1].
+    """
+    pd = puiseux_data()
+    if not pd.omega1 < omega <= 1.0:
+        raise ValueError("omega outside (omega_1, 1]")
+
+    def g(z):
+        if z == 0:
+            return 1.0
+        r = math.sqrt(-z)
+        return math.sin(r) / r
+
+    lo, hi = pd.z1 + 1e-13, 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < omega:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * (1 + abs(mid)):
+            break
+    return 0.5 * (lo + hi)
 
 
 def test_constants_reproduce_printed_values():

@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from hwkit.bessel import (bessel_k, bessel_k_half_integer, bessel_k_log,
-                          bessel_k_scaled)
+from hwkit.bessel import bessel_k, bessel_k_log, bessel_k_scaled
+
+
+def bessel_k_half_integer(k: int, x: float) -> float:
+    """K_{k+1/2}(x) from the closed form of K_{1/2} and the recurrence."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    base = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
+    if k == 0:
+        return base
+    prev, cur = base, base * (1.0 + 1.0 / x)  # K_{1/2}, K_{3/2}
+    nu = 1.5
+    for _ in range(k - 1):
+        prev, cur = cur, prev + (2.0 * nu / x) * cur
+        nu += 1.0
+    return cur
 
 
 def test_symmetry_in_order():

@@ -122,6 +122,19 @@ def test_price_scenario_file_and_missing_file(tmp_path, capsys):
     assert code == EXIT_FILE
 
 
+def test_price_runaway_integral_exits_numeric(tmp_path, capsys):
+    # tau = 1.25: the z window reaches past the order-6 series window,
+    # the evaluator jumps at its switch point and node doubling converges
+    # only algebraically; the default spec's 4 levels stop it at 512 nodes
+    from hwkit.cli import EXIT_NUMERIC
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(
+        [{"S0": 2.0, "r": 0.05, "sigma": 1.0, "T": 5.0, "K": 2.0}]))
+    code, _, err = run_cli(capsys, "price", str(path))
+    assert code == EXIT_NUMERIC
+    assert "did not converge in 4 levels (512 nodes)" in err
+
+
 def test_price_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

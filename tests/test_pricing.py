@@ -14,7 +14,8 @@ from hwkit.pricing import (SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS, PriceResult,
                            price_call_reduced, price_put_reduced,
                            price_scenario, price_scenarios, rate_I, rate_J,
                            rate_J_with_argmin, reduced_mean)
-from hwkit.quadrature import gauss_legendre_nodes
+from hwkit.quadrature import (QuadratureError, QuadratureSpec,
+                              gauss_legendre_nodes)
 
 # printed benchmark rows: (mu, tau, c_A, n_tau, C_A)
 TABLE3_ROWS = [
@@ -253,6 +254,47 @@ def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
     assert len(norm_args) == len(set(norm_args)) == 5
     for res, row in zip(batch[:6], TABLE3_ROWS):
         assert res.price == pytest.approx(row[4], abs=2e-4)
+
+
+def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
+    # one doubling driver: the 2-D core starts at 96 nodes (outer z rule,
+    # then an inner u rule of the same size), the 1-D integrals at 64;
+    # each converges at its second level
+    F6, G6 = evals_pricing
+    rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[4])
+    sizes = []
+
+    def recording(a, b, n):
+        sizes.append(n)
+        return gauss_legendre_nodes(a, b, n)
+
+    monkeypatch.setattr(pricing, "gauss_legendre_nodes", recording)
+    runs = {"call": lambda: price_call_reduced(rp.k, rp.tau, rp.mu, F6, G6),
+            "put": lambda: price_put_reduced(rp.k, rp.tau, rp.mu, F6, G6),
+            "norm": lambda: norm_factor(rp.tau, rp.mu, F6, G6),
+            "f0": lambda: f0_density(1.1, rp.tau, rp.mu, F6, G6, norm=1.0)}
+    expect = {"call": [96, 96, 192, 192], "put": [96, 96, 192, 192],
+              "norm": [64, 128], "f0": [64, 128]}
+    for name, run in runs.items():
+        sizes.clear()
+        run()
+        assert sizes == expect[name], name
+
+
+def test_doubling_raises_after_its_levels():
+    # a step at an interior point: Gauss-Legendre converges only
+    # algebraically, so 1e-9 is out of reach in three levels
+    sizes = []
+
+    def level(zn, zw):
+        sizes.append(len(zn))
+        return float(np.dot(zn > 1.0 / 3.0, zw))
+
+    quad = QuadratureSpec(levels=3, target_rel_err=1e-9)
+    with pytest.raises(QuadratureError,
+                       match=r"step integral did not converge in 3 levels"):
+        pricing._doubling(level, 0.0, 1.0, 16, quad, "step integral")
+    assert sizes == [16, 32, 64]
 
 
 class _Unhashable:

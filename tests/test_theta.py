@@ -6,7 +6,13 @@ import pytest
 
 from hwkit.exact import F_exact, G_exact, PI2_HALF
 from hwkit.hartman import (SMALL_T_THRESHOLD, ThetaSmallTimeError, theta_asympt,
-                           theta_asympt_log, theta_hw, theta_hw_stability)
+                           theta_hw, theta_hw_stability)
+
+
+def theta_asympt_log(rho, t):
+    """log theta_asympt(rho, t), finite where theta_asympt underflows."""
+    return (-(F_exact(rho) - PI2_HALF) / t + math.log(G_exact(rho))
+            - math.log(2.0 * math.pi * t))
 
 
 def test_positivity_moderate_t():
