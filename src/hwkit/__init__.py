@@ -12,8 +12,8 @@ from .series import (RationalSeries, SeriesError, revert_series, series_add,
                      series_sqrt, series_to_text)
 from .tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
                      natural_table)
-from .roots import (RootSolveError, RootSolverConfig, solve_kappa, solve_lambda,
-                    solve_tan_eta, solve_xi, solve_zeta)
+from .roots import (RootSolveError, solve_kappa, solve_lambda, solve_tan_eta,
+                    solve_xi, solve_zeta)
 from .exact import (CriticalPointTable, F_exact, G_exact, JBS_exact,
                     critical_points)
 from .asympt import (AsymptoticConstants, PuiseuxData, asympt_c, asympt_cJ,

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import tables
-from .exact import critical_points
 
 _MP_DPS = 40
 _lock = threading.Lock()

@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto the library layers: exact coefficient
 tables (coeffs), function evaluation (eval), the constants table
 (constants), coefficient-asymptotics diagnostics (asympt), density
-slices (density), the Hartman-Watson integral (theta), benchmark pricing
-(price) and a wall-time report (bench).  Output is deterministic: fixed
-significant-digit formatting, '.' decimal separator, no locale use.
+slices (density), the Hartman-Watson integral (theta) and benchmark
+pricing (price).  Output is deterministic: fixed significant-digit
+formatting, '.' decimal separator, no locale use.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 file/parse errors,
 4 numeric failures (non-convergence, refused domains).
@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import sys
-import time
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,21 +206,6 @@ def cmd_price(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from .pricing import TABLE3_SCENARIOS, price_scenario
-
-    F_eval, G_eval, quad = _pricing_config(args)
-    rows = []
-    for i, s in enumerate(TABLE3_SCENARIOS, start=1):
-        t0 = time.perf_counter()
-        res = price_scenario(s, F_eval, G_eval, quad)
-        dt = time.perf_counter() - t0
-        rows.append((i, res.price, dt))
-    _emit_rows(("scenario", "C_A", "seconds"), rows, args.format, args.out,
-               args.precision)
-    return EXIT_OK
-
-
 def _linspace(a, b, n):
     if n == 1:
         return [a]
@@ -279,16 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("method", choices=("quadrature", "asymptotic"))
     sp.set_defaults(fn=cmd_theta)
 
-    for name, fn in (("price", cmd_price), ("bench", cmd_bench)):
-        sp = sub.add_parser(name, help=f"{name} the benchmark scenarios")
-        if name == "price":
-            sp.add_argument("scenarios",
-                            help="'table3' for the built-in benchmark set, "
-                                 "or a JSON file of {S0,r,sigma,T,K} objects")
-        sp.add_argument("--order", type=int, default=6)
-        sp.add_argument("--domain", type=float, nargs=2, default=None)
-        sp.add_argument("--quad-tol", type=float, default=1e-9)
-        sp.set_defaults(fn=fn)
+    sp = sub.add_parser("price", help="price the benchmark scenarios")
+    sp.add_argument("scenarios",
+                    help="'table3' for the built-in benchmark set, "
+                         "or a JSON file of {S0,r,sigma,T,K} objects")
+    sp.add_argument("--order", type=int, default=6)
+    sp.add_argument("--domain", type=float, nargs=2, default=None)
+    sp.add_argument("--quad-tol", type=float, default=1e-9)
+    sp.set_defaults(fn=cmd_price)
 
     return p
 

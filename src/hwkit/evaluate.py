@@ -1,9 +1,13 @@
 """Fast piecewise evaluators for F, G and J_BS.
 
 Inside a configurable window around the expansion point the value is a
-degree-N polynomial in log(rho) (Horner, float coefficients converted
-once from the exact tables); outside the window the closed-form
-root-finding evaluation takes over.  The window must stay strictly inside
+degree-N polynomial in log(rho): the target's `exact.target_table` entry
+summed by `exact.series_value`, the same Horner the closed forms use near
+rho = 1.  Outside the window the closed form (`closed_form(target)`, the
+`exact.*_exact` function looked up at call time) takes over point by
+point.  Scalars and arrays take one path: a scalar comes back as a float,
+an array as an array of its shape, and any argument that is not positive
+and finite raises EvaluatorError.  The window must stay strictly inside
 the convergence disk |log rho| < rho_x ~ 3.49295; the default window
 rho in [0.04, 32.88] is the configuration used for the benchmark pricing
 runs and spans essentially the whole disk.
@@ -22,26 +26,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, tables
+from . import exact
 from .asympt import _geom  # rho_x guard
-from .roots import DEFAULT_CONFIG, RootSolverConfig
 
 DEFAULT_DOMAIN = (0.04, 32.88)
-_TARGETS = ("F", "G", "JBS")
 
 
 class EvaluatorError(ValueError):
     pass
 
 
+def closed_form(target: str):
+    """exact.F_exact, G_exact or JBS_exact, looked up at call time."""
+    return getattr(exact, f"{target}_exact")
+
+
 @dataclass(frozen=True)
 class PiecewiseEvaluator:
     """Series-inside / closed-form-outside evaluator for one target.
 
-    log_lo/log_hi are the switch points in the log variable; coeffs are
-    the float-converted series coefficients (index n multiplies
-    log(rho)^n), offset/prefactor the additive and multiplicative
-    constants of the target (pi^2/2 - 1 for F, sqrt 3 for G).
+    log_lo/log_hi are the switch points in the log variable; coeffs,
+    offset and prefactor are the target's `exact.target_table` entry (index
+    n of coeffs multiplies log(rho)^n; offset is pi^2/2 - 1 for F, the
+    prefactor sqrt 3 for G).
     """
 
     target: str
@@ -60,38 +67,21 @@ class PiecewiseEvaluator:
     def rho_hi(self) -> float:
         return math.exp(self.log_hi)
 
-    def _outer(self, rho: float, cfg: RootSolverConfig) -> float:
-        if self.target == "F":
-            return exact.F_exact(rho, cfg)
-        if self.target == "G":
-            return exact.G_exact(rho, cfg)
-        return exact.JBS_exact(rho, cfg)
-
-    def __call__(self, rho, cfg: RootSolverConfig = DEFAULT_CONFIG):
-        if np.ndim(rho) == 0:
-            return self._eval_scalar(float(rho), cfg)
-        arr = np.asarray(rho, dtype=float)
-        out = np.empty_like(arr)
-        flat = arr.reshape(-1)
-        res = out.reshape(-1)
-        y = np.log(flat)
+    def __call__(self, rho):
+        """The target at rho: a float for a scalar, an array of its shape otherwise."""
+        x = np.asarray(rho, dtype=float)
+        if not ((x > 0.0) & (x < np.inf)).all():
+            raise EvaluatorError("argument must be positive and finite")
+        y = np.log(x)
         inner = (y >= self.log_lo) & (y <= self.log_hi)
-        if inner.any():
-            res[inner] = self._poly(y[inner])
-        for i in np.nonzero(~inner)[0]:
-            res[i] = self._outer(flat[i], cfg)
-        return out
-
-    def _poly(self, y):
-        return self.prefactor * exact._horner(self.coeffs, y) + self.offset
-
-    def _eval_scalar(self, rho: float, cfg: RootSolverConfig) -> float:
-        if rho <= 0:
-            raise EvaluatorError("argument must be positive")
-        y = math.log(rho)
-        if self.log_lo <= y <= self.log_hi:
-            return self._poly(y)
-        return self._outer(rho, cfg)
+        # zero outside the window keeps the discarded polynomial values finite
+        out = np.array(exact.series_value(self.coeffs, self.offset,
+                                          self.prefactor, y * inner))
+        if not inner.all():
+            fn = closed_form(self.target)
+            for i in np.flatnonzero(~inner):
+                out.flat[i] = fn(float(x.flat[i]))
+        return out if out.ndim else float(out)
 
 
 def make_evaluator(target: str, order: int,
@@ -103,8 +93,8 @@ def make_evaluator(target: str, order: int,
     log variable, otherwise the series is divergent there and the request
     is refused.
     """
-    if target not in _TARGETS:
-        raise EvaluatorError(f"target must be one of {_TARGETS}")
+    if target not in exact.TARGETS:
+        raise EvaluatorError(f"target must be one of {exact.TARGETS}")
     if order < 1:
         raise EvaluatorError("order must be >= 1")
     lo, hi = domain
@@ -116,17 +106,9 @@ def make_evaluator(target: str, order: int,
         raise EvaluatorError(
             f"domain [{lo}, {hi}] leaves the series convergence disk "
             f"(|log rho| < {rho_x:.5f})")
-    if target == "F":
-        ser = tables.coeffs_F(order)
-        offset, prefactor = exact.PI2_HALF - 1.0, 1.0
-    elif target == "G":
-        ser = tables.coeffs_G(order)
-        offset, prefactor = 0.0, math.sqrt(3.0)
-    else:
-        ser = tables.coeffs_jbs(max(order, 2), "log").truncate(max(order, 2))
-        offset, prefactor = 0.0, 1.0
-    return PiecewiseEvaluator(target=target, order=ser.order, log_lo=log_lo,
-                              log_hi=log_hi, coeffs=tuple(ser.float_coeffs()),
+    coeffs, offset, prefactor = exact.target_table(target, order)
+    return PiecewiseEvaluator(target=target, order=len(coeffs) - 1,
+                              log_lo=log_lo, log_hi=log_hi, coeffs=coeffs,
                               offset=offset, prefactor=prefactor)
 
 
@@ -142,7 +124,7 @@ def truncation_error_profile(target: str, orders, rho_grid, domain=None):
         lo = min(rho_grid) * 0.999
         hi = max(rho_grid) * 1.001
         domain = (max(lo, DEFAULT_DOMAIN[0]), min(hi, DEFAULT_DOMAIN[1]))
-    ref = {"F": exact.F_exact, "G": exact.G_exact, "JBS": exact.JBS_exact}[target]
+    ref = closed_form(target)
     exact_vals = [ref(r) for r in rho_grid]
     per_order, per_point = {}, {}
     for n in orders:

@@ -18,17 +18,20 @@ expansion point rho = x = 1 but the formulas degenerate there (0/0 in
 kappa/tanh kappa, (pi-lambda)/tan lambda), so inside |log rho| < 1e-3 the
 evaluation switches to the exact Taylor tables, which are error-free at
 the expansion point and agree with the closed forms to ~1e-12 across the
-overlap.
+overlap.  `target_table` is the one map from a target name to its float
+table, offset and prefactor; the evaluators in hwkit.evaluate read it
+too.  Arguments that are not positive and finite raise ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import tables
-from .roots import (DEFAULT_CONFIG, RootSolverConfig, solve_kappa, solve_lambda,
-                    solve_tan_eta, solve_xi, solve_zeta)
+from .roots import solve_kappa, solve_lambda, solve_tan_eta, solve_xi, solve_zeta
+from .series import OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1
 
 PI2_HALF = math.pi * math.pi / 2.0
 
@@ -36,80 +39,78 @@ PI2_HALF = math.pi * math.pi / 2.0
 SERIES_GUARD = 1e-3
 _GUARD_ORDER = 24
 
+# exact Taylor table of each target in y = log(rho), looked up at call time
+_TABLES = {
+    "F": lambda order: tables.coeffs_F(order),
+    "G": lambda order: tables.coeffs_G(order),
+    "JBS": lambda order: tables.coeffs_jbs(max(order, 2), "log"),
+}
+TARGETS = tuple(_TABLES)
+_OFFSET_VALUES = {OFFSET_NONE: 0.0, OFFSET_PI2_HALF_MINUS_1: PI2_HALF - 1.0}
 
-def _horner(coeffs, y):
-    """sum coeffs[n] y^n for a float or a numpy array y."""
+
+@lru_cache(maxsize=None)
+def target_table(name: str, order: int) -> tuple:
+    """(float coeffs, offset, prefactor) of target `name` at `order`.
+
+    The target is prefactor * sum coeffs[n] (log rho)^n + offset near
+    rho = 1; offset and prefactor are the float values of the table's
+    symbolic `offset` and `sqrt(prefactor_sq)`.  J_BS starts at order 2.
+    """
+    ser = _TABLES[name](order)
+    return (tuple(ser.float_coeffs()), _OFFSET_VALUES[ser.offset],
+            math.sqrt(float(ser.prefactor_sq)))
+
+
+def series_value(coeffs, offset: float, prefactor: float, y):
+    """prefactor * sum coeffs[n] y^n + offset for a float or a numpy array y."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * y + c
-    return acc
+    return prefactor * acc + offset
 
 
-def _guard_coeffs(name: str):
-    if name == "F":
-        return tables.coeffs_F(_GUARD_ORDER).float_coeffs()
-    if name == "G":
-        return tables.coeffs_G(_GUARD_ORDER).float_coeffs()
-    return tables.coeffs_jbs(_GUARD_ORDER, "log").float_coeffs()
+def _checked_log(name: str, x: float) -> float:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} needs a positive finite argument, got {x!r}")
+    return math.log(x)
 
 
-_guard_cache: dict = {}
-
-
-def _guarded(name: str, y: float) -> float:
-    coeffs = _guard_cache.get(name)
-    if coeffs is None:
-        coeffs = _guard_coeffs(name)
-        _guard_cache[name] = coeffs
-    val = _horner(coeffs, y)
-    if name == "F":
-        return val + (PI2_HALF - 1.0)
-    if name == "G":
-        return math.sqrt(3.0) * val
-    return val
-
-
-def JBS_exact(x: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def JBS_exact(x: float) -> float:
     """Small-maturity decay rate of the time-averaged gBM density at x."""
-    if x <= 0:
-        raise ValueError("JBS_exact needs x > 0")
-    y = math.log(x)
+    y = _checked_log("JBS_exact", x)
     if abs(y) < SERIES_GUARD:
-        return _guarded("JBS", y)
+        return series_value(*target_table("JBS", _GUARD_ORDER), y)
     if x >= 1.0:
-        xi = solve_xi(x, cfg)
+        xi = solve_xi(x)
         return 0.5 * xi * xi - xi * math.tanh(0.5 * xi)
-    zeta = solve_zeta(x, cfg)
+    zeta = solve_zeta(x)
     return zeta * math.tan(0.5 * zeta) - 0.5 * zeta * zeta
 
 
-def F_exact(rho: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def F_exact(rho: float) -> float:
     """Exponent function of the small-time Hartman-Watson expansion."""
-    if rho <= 0:
-        raise ValueError("F_exact needs rho > 0")
-    y = math.log(rho)
+    y = _checked_log("F_exact", rho)
     if abs(y) < SERIES_GUARD:
-        return _guarded("F", y)
+        return series_value(*target_table("F", _GUARD_ORDER), y)
     if rho < 1.0:
-        kappa = solve_kappa(rho, cfg)
+        kappa = solve_kappa(rho)
         return 0.5 * kappa * kappa - kappa / math.tanh(kappa) + PI2_HALF
-    lam = solve_lambda(rho, cfg)
+    lam = solve_lambda(rho)
     return -0.5 * lam * lam + (math.pi - lam) / math.tan(lam) + math.pi * lam
 
 
-def G_exact(rho: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def G_exact(rho: float) -> float:
     """Prefactor function of the small-time Hartman-Watson expansion."""
-    if rho <= 0:
-        raise ValueError("G_exact needs rho > 0")
-    y = math.log(rho)
+    y = _checked_log("G_exact", rho)
     if abs(y) < SERIES_GUARD:
-        return _guarded("G", y)
+        return series_value(*target_table("G", _GUARD_ORDER), y)
     if rho < 1.0:
-        kappa = solve_kappa(rho, cfg)
+        kappa = solve_kappa(rho)
         # At the root rho sinh(kappa) = kappa, so rho cosh(kappa) equals
         # kappa/tanh(kappa); this form never overflows at tiny rho.
         return kappa / math.sqrt(kappa / math.tanh(kappa) - 1.0)
-    lam = solve_lambda(rho, cfg)
+    lam = solve_lambda(rho)
     return rho * math.sin(lam) / math.sqrt(1.0 + rho * math.cos(lam))
 
 
@@ -139,12 +140,12 @@ class CriticalPointTable:
         return [e[3] for e in self.entries]
 
 
-def critical_points(count: int = 5, cfg: RootSolverConfig = DEFAULT_CONFIG) -> CriticalPointTable:
+def critical_points(count: int = 5) -> CriticalPointTable:
     if count < 1:
         raise ValueError("count must be >= 1")
     entries = []
     for k in range(1, count + 1):
-        eta = solve_tan_eta(k, cfg)
+        eta = solve_tan_eta(k)
         entries.append((k, eta, -eta * eta, math.sin(eta) / eta))
     omega1 = entries[0][3]
     log_w1 = math.log(abs(omega1))

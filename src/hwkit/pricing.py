@@ -58,7 +58,7 @@ import numpy as np
 
 from . import exact
 from .bessel import bessel_k_scaled
-from .evaluate import DEFAULT_DOMAIN, PiecewiseEvaluator, make_evaluator
+from .evaluate import DEFAULT_DOMAIN, make_evaluator
 from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre_nodes
 
 PI2_HALF = exact.PI2_HALF

@@ -1,30 +1,22 @@
 """Bracketed solvers for the transcendental equations behind F, G and J_BS.
 
-Every equation here is solved the same way: an analytically safe bracket,
-bisection until Newton is trustworthy, then Newton polish.  No starting
-guesses, no convergence luck.  Residuals are checked in a scaled form
-chosen per equation so that 1e-14 means the same thing at kappa = 0.1 and
-kappa = 40 (the sinh equation moves to the log domain above kappa = 30 to
-dodge overflow).
+F, G and J_BS rest on two equations only: sinh(x)/x = c (solve_xi, and
+solve_kappa(rho) = solve_xi(1/rho)) and sin(x)/x = c (solve_zeta, and
+solve_lambda(rho) = pi - solve_zeta(1/rho)).  solve_tan_eta gives the
+critical points.  Every equation is solved the same way: an analytically
+safe bracket, bisection until Newton is trustworthy, then Newton polish to
+_ABS_TOL in at most _MAX_ITER steps.  No starting guesses, no convergence
+luck.  The sinh equation moves to the log domain above xi = 30 to dodge
+overflow.  Non-finite or out-of-domain arguments raise ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
-
-@dataclass(frozen=True)
-class RootSolverConfig:
-    abs_tol: float = 1e-14
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-
-
-DEFAULT_CONFIG = RootSolverConfig()
+_ABS_TOL = 1e-14
+_MAX_ITER = 100
 
 
 class RootSolveError(RuntimeError):
@@ -36,7 +28,7 @@ class RootSolveError(RuntimeError):
         self.residual = residual
 
 
-def _bisect_newton(f, df, lo, hi, cfg: RootSolverConfig) -> float:
+def _bisect_newton(f, df, lo, hi) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi) (or flipped)."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -47,7 +39,7 @@ def _bisect_newton(f, df, lo, hi, cfg: RootSolverConfig) -> float:
         raise RootSolveError(f"root not bracketed on [{lo}, {hi}]",
                              last_iterate=lo, residual=flo)
     sign = 1.0 if fhi > 0 else -1.0
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if sign * fm >= 0:
@@ -57,7 +49,7 @@ def _bisect_newton(f, df, lo, hi, cfg: RootSolverConfig) -> float:
         if hi - lo < 1e-4 * (1.0 + abs(mid)):
             break
     x = 0.5 * (lo + hi)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
         d = df(x)
         if d == 0:
@@ -70,11 +62,11 @@ def _bisect_newton(f, df, lo, hi, cfg: RootSolverConfig) -> float:
             else:
                 lo = x
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= cfg.abs_tol * (1.0 + abs(xn)):
+        if abs(xn - x) <= _ABS_TOL * (1.0 + abs(xn)):
             return xn
         x = xn
     fx = f(x)
-    if abs(fx) <= 1e3 * cfg.abs_tol:
+    if abs(fx) <= 1e3 * _ABS_TOL:
         return x
     raise RootSolveError("Newton polish failed to converge",
                          last_iterate=x, residual=fx)
@@ -84,15 +76,15 @@ def _sinhc(x: float) -> float:
     return math.sinh(x) / x if x != 0 else 1.0
 
 
-def solve_xi(x: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def solve_xi(x: float) -> float:
     """xi >= 0 with sinh(xi)/xi = x, for x >= 1.
 
     Above xi = 30 the residual is formed as log(sinh xi) - log(xi x) =
     xi + log1p(-e^{-2 xi}) - log 2 - log(xi x), which is overflow-free for
     arbitrarily large x.
     """
-    if x < 1.0:
-        raise ValueError("solve_xi needs x >= 1")
+    if not 1.0 <= x < math.inf:
+        raise ValueError("solve_xi needs 1 <= x < inf")
     if x == 1.0:
         return 0.0
     lx = math.log(x)
@@ -112,11 +104,11 @@ def solve_xi(x: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
         lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise RootSolveError("upper bracket growth failed", last_iterate=hi)
-    xi = _bisect_newton(f, df, lo, hi, cfg)
+    xi = _bisect_newton(f, df, lo, hi)
     return max(xi, 0.0)
 
 
-def solve_zeta(x: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def solve_zeta(x: float) -> float:
     """zeta in [0, pi] with sin(zeta)/zeta = x, for 0 < x <= 1.
 
     sin(z)/z decreases from 1 to 0 on [0, pi]; x -> 0+ pushes the root to
@@ -137,10 +129,10 @@ def solve_zeta(x: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
             return t / 3.0
         return (math.sin(t) / t - math.cos(t)) / t
 
-    return _bisect_newton(f, df, 0.0, math.pi, cfg)
+    return _bisect_newton(f, df, 0.0, math.pi)
 
 
-def solve_kappa(rho: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def solve_kappa(rho: float) -> float:
     """kappa >= 0 with rho sinh(kappa)/kappa = 1, for 0 < rho < 1.
 
     This is sinh(kappa)/kappa = 1/rho; for tiny rho the root grows like
@@ -149,42 +141,28 @@ def solve_kappa(rho: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("solve_kappa needs 0 < rho < 1")
-    return solve_xi(1.0 / rho, cfg)
+    return solve_xi(1.0 / rho)
 
 
-def solve_lambda(rho: float, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def solve_lambda(rho: float) -> float:
     """lambda in (0, pi) with lambda + rho sin(lambda) = pi, for rho > 1.
 
-    In delta = pi - lambda the equation reads rho sin(delta) = delta, and
-    delta = 0 is always a parasitic root.  Dividing it out leaves
-    rho sin(delta)/delta = 1 with sin(delta)/delta strictly decreasing on
-    (0, pi): a clean monotone bracket with the unique interior root.
+    In delta = pi - lambda the equation reads sin(delta)/delta = 1/rho,
+    with delta = 0 divided out, so delta = solve_zeta(1/rho).
     """
-    if rho <= 1.0:
-        raise ValueError("solve_lambda needs rho > 1")
-
-    def f(d):
-        if d < 1e-8:
-            return (rho - 1.0) - rho * d * d / 6.0
-        return rho * math.sin(d) / d - 1.0
-
-    def df(d):
-        if d < 1e-8:
-            return -rho * d / 3.0
-        return rho * (math.cos(d) / d - math.sin(d) / (d * d))
-
-    delta = _bisect_newton(f, df, 0.0, math.pi, cfg)
-    return math.pi - delta
+    if not 1.0 < rho < math.inf:
+        raise ValueError("solve_lambda needs 1 < rho < inf")
+    return math.pi - solve_zeta(1.0 / rho)
 
 
-def solve_tan_eta(k: int, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
+def solve_tan_eta(k: int) -> float:
     """k-th positive root of tan(eta) = eta, in (k pi, k pi + pi/2).
 
     Solved via sin(eta) - eta cos(eta) = 0, which is bounded on the
     bracket (tan itself blows up at the right endpoint).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError("solve_tan_eta needs an integer k >= 1")
 
     def f(t):
         return math.sin(t) - t * math.cos(t)
@@ -194,4 +172,4 @@ def solve_tan_eta(k: int, cfg: RootSolverConfig = DEFAULT_CONFIG) -> float:
 
     lo = k * math.pi + 1e-9
     hi = k * math.pi + math.pi / 2.0 - 1e-12
-    return _bisect_newton(f, df, lo, hi, cfg)
+    return _bisect_newton(f, df, lo, hi)

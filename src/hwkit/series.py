@@ -98,15 +98,6 @@ class RationalSeries:
         return f"RationalSeries([{head}{tail}], order={self.order}{pf}{off})"
 
 
-def series_from_terms(terms, order: int, prefactor_sq=1, offset=OFFSET_NONE) -> RationalSeries:
-    """Series from a {power: coefficient} mapping, zero-filled to `order`."""
-    coeffs = [ZERO] * (order + 1)
-    for n, c in terms.items():
-        if 0 <= n <= order:
-            coeffs[n] = rat(c)
-    return RationalSeries(tuple(coeffs), prefactor_sq, offset)
-
-
 def _common_order(a: RationalSeries, b: RationalSeries) -> int:
     return min(a.order, b.order)
 
@@ -172,19 +163,6 @@ def series_add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
     n = _common_order(a, b)
     coeffs = tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1))
     return RationalSeries(coeffs, a.prefactor_sq, a.offset or b.offset)
-
-
-def series_neg(a: RationalSeries) -> RationalSeries:
-    if a.offset:
-        raise SeriesError("cannot negate an offset-carrying series")
-    return RationalSeries(tuple(-c for c in a.coeffs), a.prefactor_sq)
-
-
-def series_scale(a: RationalSeries, s) -> RationalSeries:
-    if a.offset:
-        raise SeriesError("cannot scale an offset-carrying series")
-    s = rat(s)
-    return RationalSeries(tuple(c * s for c in a.coeffs), a.prefactor_sq)
 
 
 def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:

@@ -5,9 +5,8 @@ import statistics
 
 import pytest
 
-from hwkit.asympt import (asympt_c, asympt_cJ, asympt_d, asympt_dF, asympt_dG,
-                          asympt_dJ, asymptotic_constants, diagnostic_epsilon,
-                          epsilon_csv, exact_family_floats,
+from hwkit.asympt import (asympt_c, asympt_cJ, asympt_dG, asymptotic_constants,
+                          diagnostic_epsilon, epsilon_csv, exact_family_floats,
                           kernel_derivatives_at_z1, puiseux_data, trig_factor)
 from hwkit.exact import critical_points
 from hwkit.tables import coeffs_h

@@ -1,14 +1,20 @@
 """Piecewise evaluators: construction, accuracy, switching, profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from hwkit import exact
 from hwkit.evaluate import (DEFAULT_DOMAIN, EvaluatorError, make_evaluator,
                             truncation_error_profile)
 from hwkit.exact import F_exact, G_exact, JBS_exact, PI2_HALF
+from hwkit.roots import (solve_kappa, solve_lambda, solve_tan_eta, solve_xi,
+                         solve_zeta)
 from hwkit.tables import coeffs_G
+
+NAN, INF = math.nan, math.inf
 
 
 def test_default_domain_is_the_benchmark_config():
@@ -33,6 +39,55 @@ def test_bad_inputs_rejected():
     ev = make_evaluator("F", 6)
     with pytest.raises(EvaluatorError):
         ev(-1.0)
+
+
+@pytest.mark.parametrize("fn, arg, error", [
+    (F_exact, NAN, ValueError),
+    (F_exact, INF, ValueError),
+    (G_exact, NAN, ValueError),
+    (G_exact, INF, ValueError),
+    (JBS_exact, NAN, ValueError),
+    (JBS_exact, INF, ValueError),
+    (solve_xi, NAN, ValueError),
+    (solve_xi, INF, ValueError),
+    (solve_zeta, NAN, ValueError),
+    (solve_kappa, NAN, ValueError),
+    (solve_lambda, NAN, ValueError),
+    (solve_lambda, INF, ValueError),
+    (solve_tan_eta, NAN, ValueError),
+    (solve_tan_eta, INF, ValueError),
+    (make_evaluator("F", 6), NAN, EvaluatorError),
+    (make_evaluator("F", 6), INF, EvaluatorError),
+    (make_evaluator("G", 6), np.array([0.5, 0.0]), EvaluatorError),
+    (make_evaluator("JBS", 6), np.array([[2.0], [-1.0]]), EvaluatorError),
+    (make_evaluator("F", 6), np.array([1.0, NAN]), EvaluatorError),
+], ids=lambda v: getattr(v, "__name__", None) or getattr(v, "target", None))
+def test_non_finite_and_nonpositive_refused(fn, arg, error):
+    # refused with the typed error before any work: no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            fn(arg)
+
+
+def test_offsets_and_prefactors_are_exact():
+    for order in (1, 6, 24):
+        F, G, J = (make_evaluator(t, order) for t in ("F", "G", "JBS"))
+        assert (F.offset, F.prefactor) == (PI2_HALF - 1.0, 1.0)
+        assert (G.offset, G.prefactor) == (0.0, math.sqrt(3.0))
+        assert (J.offset, J.prefactor) == (0.0, 1.0)
+    assert make_evaluator("JBS", 1).order == 2
+
+
+def test_outer_path_looks_up_closed_forms_at_call_time(monkeypatch):
+    for target, name in (("F", "F_exact"), ("G", "G_exact"), ("JBS", "JBS_exact")):
+        ev = make_evaluator(target, 6, (0.5, 2.0))
+        seen = []
+        monkeypatch.setattr(exact, name, lambda rho, s=seen: s.append(rho) or -7.0)
+        assert ev(20.0) == -7.0
+        out = ev(np.array([0.05, 1.0, 30.0]))
+        assert out[0] == out[2] == -7.0 and out[1] != -7.0
+        assert seen == [20.0, 0.05, 30.0]
 
 
 def test_F_at_one_is_offset_for_any_order():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hwkit.exact import (PI2_HALF, F_exact, G_exact, JBS_exact, critical_points,
                          singularity_distance)
-from hwkit.roots import (RootSolveError, solve_kappa, solve_lambda,
-                         solve_tan_eta, solve_xi, solve_zeta)
+from hwkit.roots import (solve_kappa, solve_lambda, solve_tan_eta, solve_xi,
+                         solve_zeta)
 from hwkit.tables import coeffs_F, coeffs_G, coeffs_jbs
 
 # printed reference values of the first five critical points
@@ -56,6 +56,11 @@ def test_lambda_limits():
     assert math.pi - solve_lambda(1 + 1e-9) < 1e-4
     lam = solve_lambda(1e6)
     assert abs(lam * (1 + 1e6) / math.pi - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("rho", [1.0001, 1.5, 2.0, math.e ** 8, 1e6])
+def test_lambda_is_pi_minus_zeta_of_inverse(rho):
+    assert solve_lambda(rho) == math.pi - solve_zeta(1.0 / rho)
 
 
 def test_xi_zeta_at_one():
