@@ -8,12 +8,11 @@ import pytest
 
 from hwkit import pricing
 from hwkit.exact import JBS_exact
-from hwkit.pricing import (SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS, PriceResult,
-                           ReducedParams, Scenario, exact_mean, f0_density,
-                           joint_density_leading, norm_direct, norm_factor,
-                           price_call_reduced, price_put_reduced,
-                           price_scenario, price_scenarios, rate_I, rate_J,
-                           rate_J_with_argmin, reduced_mean)
+from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
+                           exact_mean, f0_density, joint_density_leading,
+                           norm_direct, norm_factor, price_call_reduced,
+                           price_put_reduced, price_scenario, price_scenarios,
+                           rate_I, rate_J, rate_J_with_argmin, reduced_mean)
 from hwkit.quadrature import (QuadratureError, QuadratureSpec,
                               gauss_legendre_nodes)
 
@@ -257,9 +256,10 @@ def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
 
 
 def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
-    # one doubling driver: the 2-D core starts at 96 nodes (outer z rule,
-    # then an inner u rule of the same size), the 1-D integrals at 64;
-    # each converges at its second level
+    # one doubling driver: the 2-D core starts at 64 outer z nodes, each
+    # followed by an inner u rule of half that size; the 1-D integrals
+    # start at 64.  Call, put, norm and f0 converge at their second level;
+    # the bare density ("one") and the mean at this scenario at their third
     F6, G6 = evals_pricing
     rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[4])
     sizes = []
@@ -272,9 +272,13 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
     runs = {"call": lambda: price_call_reduced(rp.k, rp.tau, rp.mu, F6, G6),
             "put": lambda: price_put_reduced(rp.k, rp.tau, rp.mu, F6, G6),
             "norm": lambda: norm_factor(rp.tau, rp.mu, F6, G6),
-            "f0": lambda: f0_density(1.1, rp.tau, rp.mu, F6, G6, norm=1.0)}
-    expect = {"call": [96, 96, 192, 192], "put": [96, 96, 192, 192],
-              "norm": [64, 128], "f0": [64, 128]}
+            "f0": lambda: f0_density(1.1, rp.tau, rp.mu, F6, G6, norm=1.0),
+            "one": lambda: norm_direct(rp.tau, rp.mu, F6, G6),
+            "mean": lambda: reduced_mean(rp.tau, rp.mu, F6, G6)}
+    expect = {"call": [64, 32, 128, 64], "put": [64, 32, 128, 64],
+              "norm": [64, 128], "f0": [64, 128],
+              "one": [64, 32, 128, 64, 256, 128],
+              "mean": [64, 32, 128, 64, 256, 128]}
     for name, run in runs.items():
         sizes.clear()
         run()
@@ -295,6 +299,78 @@ def test_doubling_raises_after_its_levels():
                        match=r"step integral did not converge in 3 levels"):
         pricing._doubling(level, 0.0, 1.0, 16, quad, "step integral")
     assert sizes == [16, 32, 64]
+
+
+def _nan_like(rho):
+    return np.full_like(np.asarray(rho, dtype=float), np.nan)
+
+
+def test_nan_density_fails_at_first_level(evals_pricing, monkeypatch):
+    # a G that returns NaN makes the first 64x32 level non-finite; the
+    # driver raises there instead of doubling to its cap
+    F6 = evals_pricing[0]
+    sizes = []
+
+    def recording(a, b, n):
+        sizes.append(n)
+        return gauss_legendre_nodes(a, b, n)
+
+    monkeypatch.setattr(pricing, "gauss_legendre_nodes", recording)
+    with pytest.raises(QuadratureError, match=r"non-finite value at 64 nodes"):
+        price_call_reduced(1.0, 0.0625, -0.6, F6, _nan_like)
+    assert sizes == [64, 32]
+
+
+def test_nan_rate_function_raises_typed_error(evals_pricing):
+    # a NaN F leaves the z-window probe no finite point to centre on
+    G6 = evals_pricing[1]
+    runs = (lambda: price_call_reduced(1.0, 0.0625, -0.6, _nan_like, G6),
+            lambda: price_put_reduced(1.0, 0.0625, -0.6, _nan_like, G6),
+            lambda: norm_factor(0.0625, -0.6, _nan_like, G6),
+            lambda: norm_direct(0.0625, -0.6, _nan_like, G6),
+            lambda: f0_density(1.1, 0.0625, -0.6, _nan_like, G6, norm=1.0))
+    for run in runs:
+        with pytest.raises(QuadratureError, match="not finite at any probe"):
+            run()
+
+
+def _oracle_2d(tau, mu, k, payoff, F_eval, G_eval, n=384):
+    """The 2-D core in its cosh-bracket, log-payoff form on one n x n rule,
+    over the windows the core itself uses."""
+    log_k = math.log(k) if k > 0 else -math.inf
+    ustar = {"call": lambda z: np.maximum(log_k, -z),
+             "put": lambda z: np.minimum(log_k, -z)}.get(payoff, lambda z: -z)
+    z_lo, z_hi = pricing._z_window(tau, mu, ustar, F_eval)
+    zn, zw = gauss_legendre_nodes(z_lo, z_hi, n)
+    u_lo, u_hi = pricing._u_bounds(zn, tau, mu, payoff, k)
+    xi, wxi = gauss_legendre_nodes(0.0, 1.0, n)
+    U = u_lo[:, None] + (u_hi - u_lo)[:, None] * xi[None, :]
+    WU = (u_hi - u_lo)[:, None] * wxi[None, :]
+    log_pay = {"call": lambda: np.log(np.maximum(np.exp(U) - k, 1e-300)),
+               "put": lambda: np.log(np.maximum(k - np.exp(U), 1e-300)),
+               "mean": lambda: U,
+               "one": lambda: np.zeros_like(U)}[payoff]()
+    bracket = (F_eval(np.exp(zn))[:, None] - pricing.PI2_HALF
+               + np.exp(zn)[:, None] * np.cosh(U + zn[:, None]))
+    L = (-bracket / tau + mu * zn[:, None] + mu * U
+         + np.log(G_eval(np.exp(zn)))[:, None] + log_pay)
+    M = float(L.max())
+    val = math.exp(M) * float(np.einsum("ij,ij,i->", np.exp(L - M), WU, zw))
+    return val * math.exp(-0.5 * mu * mu * tau) / (2.0 * math.pi * tau)
+
+
+@pytest.mark.parametrize("scenario", [0, 2, 4])
+def test_core_matches_log_form_oracle(evals_pricing, scenario):
+    F6, G6 = evals_pricing
+    rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[scenario])
+    runs = [("mean", 0.0, reduced_mean(rp.tau, rp.mu, F6, G6)),
+            ("one", 0.0, norm_direct(rp.tau, rp.mu, F6, G6))]
+    for k in (0.8 * rp.k, rp.k, 1.2 * rp.k):
+        runs += [("call", k, price_call_reduced(k, rp.tau, rp.mu, F6, G6)),
+                 ("put", k, price_put_reduced(k, rp.tau, rp.mu, F6, G6))]
+    for payoff, k, got in runs:
+        want = _oracle_2d(rp.tau, rp.mu, k, payoff, F6, G6)
+        assert abs(got / want - 1.0) < 1e-11, (payoff, k, got, want)
 
 
 class _Unhashable:
