@@ -232,14 +232,22 @@ def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
     return (mid + pad * (z_lo - mid) - 0.02, mid + pad * (z_hi - mid) + 0.02)
 
 
+_SIDES = np.array([[1.0], [-1.0]])      # _u_bounds' rows: upper, lower bound
+
+
 def _u_bounds(z, tau, mu, payoff, k):
     """Inner-integral windows [u_lo, u_hi] per z node (vectorized).
 
     The inner exponent is -e^z (cosh(u+z) - m)/tau below its per-z
-    minimum m; bounds solve for a drop of ~46 + polynomial-growth margin
-    e-folds, via a few acosh iterations, then widen 25%.
+    minimum m, reached at u*.  Each bound sits where that exponent has
+    dropped by 56 + grow * a e-folds, a = |u - u*| its distance from u*
+    and grow the payoff's polynomial growth on that side.  Both sides
+    iterate together on a, as one (2, n) array:
+
+        a <- arccosh(m + tau (56 + grow a) / e^z) - side (z + u*),
+
+    six steps from a = 1; the windows are then widened 25% about u*.
     """
-    ez = np.exp(z)
     log_k = math.log(k) if k > 0 else -math.inf
     if payoff == "call":
         ustar = np.maximum(log_k, -z)
@@ -247,22 +255,18 @@ def _u_bounds(z, tau, mu, payoff, k):
         ustar = np.minimum(log_k, -z)
     else:
         ustar = -z
-    m = np.cosh(ustar + z)
-    grow_r = max(mu + 1.0, 0.0) + (1.0 if payoff in ("call", "mean") else 0.0)
-    grow_l = max(-mu, 0.0)
-
-    def solve(side):
-        grow = grow_r if side > 0 else grow_l
-        u = ustar + side * 1.0
-        for _ in range(6):
-            need = tau * (56.0 + grow * np.abs(u - ustar)) / ez
-            u = -z + side * np.arccosh(m + need)
-        return u
-
-    u_hi = solve(+1.0)
-    u_lo = solve(-1.0)
-    u_lo = ustar + 1.25 * (u_lo - ustar)
-    u_hi = ustar + 1.25 * (u_hi - ustar)
+    grow = np.array([[max(mu + 1.0, 0.0)
+                      + (1.0 if payoff in ("call", "mean") else 0.0)],
+                     [max(-mu, 0.0)]])
+    c = tau / np.exp(z)
+    base = np.cosh(ustar + z) + 56.0 * c
+    slope = grow * c
+    shift = _SIDES * (z + ustar)
+    a = np.ones_like(shift)
+    for _ in range(6):
+        a = np.arccosh(base + slope * a) - shift
+    u_lo = ustar - 1.25 * a[1]
+    u_hi = ustar + 1.25 * a[0]
     if payoff == "call":
         u_lo = np.maximum(u_lo, log_k)
     elif payoff == "put":
@@ -355,7 +359,9 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
     n(tau) = 1/(pi tau) e^{-mu^2 tau/2}
              int G(rho) K_{-mu}(rho/tau) e^{-(F(rho)-pi^2/2)/tau} drho/rho,
     integrated in z = log rho with the Bessel factor exponentially scaled
-    so the combined bracket F - pi^2/2 + rho stays nonnegative.
+    so the combined bracket F - pi^2/2 + rho stays nonnegative.  Each
+    level takes K~_{-mu} at all its nodes in one batched bessel_k_scaled
+    call.
     """
     _require_finite(tau=tau, mu=mu)
     if tau <= 0:
@@ -367,7 +373,7 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
         rho = np.exp(zn)
         Fv = np.asarray(F_eval(rho), dtype=float)
         Gv = np.asarray(G_eval(rho), dtype=float)
-        kv = np.array([bessel_k_scaled(-mu, x) for x in rho / tau])
+        kv = bessel_k_scaled(-mu, rho / tau)
         bracket = Fv - PI2_HALF + rho
         return float(np.dot(Gv * kv * np.exp(-bracket / tau), zw))
 

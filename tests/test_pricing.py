@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,82 @@ def test_core_matches_log_form_oracle(evals_pricing, scenario):
     for payoff, k, got in runs:
         want = _oracle_2d(rp.tau, rp.mu, k, payoff, F6, G6)
         assert abs(got / want - 1.0) < 1e-11, (payoff, k, got, want)
+
+
+def _u_bounds_two_loops(z, tau, mu, payoff, k):
+    """The u windows as solved before the sides were batched: one loop per
+    side, iterating on u itself."""
+    ez = np.exp(z)
+    log_k = math.log(k) if k > 0 else -math.inf
+    if payoff == "call":
+        ustar = np.maximum(log_k, -z)
+    elif payoff == "put":
+        ustar = np.minimum(log_k, -z)
+    else:
+        ustar = -z
+    m = np.cosh(ustar + z)
+    grow_r = max(mu + 1.0, 0.0) + (1.0 if payoff in ("call", "mean") else 0.0)
+    grow_l = max(-mu, 0.0)
+
+    def solve(side):
+        grow = grow_r if side > 0 else grow_l
+        u = ustar + side * 1.0
+        for _ in range(6):
+            need = tau * (56.0 + grow * np.abs(u - ustar)) / ez
+            u = -z + side * np.arccosh(m + need)
+        return u
+
+    u_hi = solve(+1.0)
+    u_lo = solve(-1.0)
+    u_lo = ustar + 1.25 * (u_lo - ustar)
+    u_hi = ustar + 1.25 * (u_hi - ustar)
+    if payoff == "call":
+        u_lo = np.maximum(u_lo, log_k)
+    elif payoff == "put":
+        u_hi = np.minimum(u_hi, log_k)
+        u_lo = np.minimum(u_lo, u_hi - 1e-12)
+    return u_lo, u_hi
+
+
+def test_u_bounds_match_two_loop_oracle(evals_pricing, monkeypatch):
+    # every z rule of every call, put, one and mean integral at the table3
+    # (tau, mu) (the strike ladder's are among them), with table3's
+    # strikes and the ladder's ends 1.6 and 2.4
+    F6, G6 = evals_pricing
+    solve = pricing._u_bounds
+    checked = []
+
+    def compared(z, tau, mu, payoff, k):
+        got = solve(z, tau, mu, payoff, k)
+        want = _u_bounds_two_loops(z, tau, mu, payoff, k)
+        where = (tau, mu, payoff, k)
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-13), where
+        checked.append(payoff)
+        return got
+
+    monkeypatch.setattr(pricing, "_u_bounds", compared)
+    params = {(rp.tau, rp.mu): set() for rp in
+              map(ReducedParams.from_scenario, TABLE3_SCENARIOS)}
+    for s in TABLE3_SCENARIOS:
+        rp = ReducedParams.from_scenario(s)
+        params[rp.tau, rp.mu].update((rp.k, 1.6 / s.S0, 2.4 / s.S0))
+    for (tau, mu), strikes in params.items():
+        for k in sorted(strikes):
+            price_call_reduced(k, tau, mu, F6, G6)
+            price_put_reduced(k, tau, mu, F6, G6)
+        norm_direct(tau, mu, F6, G6)
+        reduced_mean(tau, mu, F6, G6)
+    assert set(checked) == {"call", "put", "one", "mean"}
+
+
+def test_tiny_sigma_ends_in_typed_error_without_warning():
+    # sigma = 0.01: tau = 2.5e-5, mu = 999.  K_{-999} is now computed
+    # without overflow; the normalization then runs out of levels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="normalization integral"):
+            price_scenario(Scenario(2.0, 0.05, 0.01, 1.0, 2.0))
 
 
 class _Unhashable:
