@@ -7,25 +7,22 @@ to the spectral reference values and the deviations, as CSV to stdout or
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 
-from hwkit.pricing import (DEFAULT_QUAD, SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS,
-                           ReducedParams, default_evaluators, price_scenarios)
+from hwkit.pricing import (SPECTRAL_BENCHMARKS, TABLE3_SCENARIOS, ReducedParams,
+                           default_evaluators, price_scenarios)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=6)
-    ap.add_argument("--quad-tol", type=float, default=1e-9)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
     F_eval, G_eval = default_evaluators(args.order)
-    quad = dataclasses.replace(DEFAULT_QUAD, target_rel_err=args.quad_tol)
     t0 = time.time()
-    results = price_scenarios(list(TABLE3_SCENARIOS), F_eval, G_eval, quad)
+    results = price_scenarios(list(TABLE3_SCENARIOS), F_eval, G_eval)
     elapsed = time.time() - t0
 
     lines = ["scenario,mu,tau,c_A,n_tau,C_A,spectral,abs_diff,rel_diff"]

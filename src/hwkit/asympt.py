@@ -195,56 +195,9 @@ def _geom() -> tuple:
 DAMPING = {"c": 1.5, "d": 1.5, "dJ": 2.5, "dF": 2.5, "dG": 0.75}
 
 
-def asympt_c(n: int) -> float:
-    """c_n ~ c_inf (1-omega_1)^{-n} (-1)^n n^{-3/2}."""
-    omega1, _, _ = _geom()
-    ac = asymptotic_constants()
-    return ac.c_inf * (1 - omega1) ** (-n) * (-1.0) ** n * n ** -DAMPING["c"]
-
-
-def asympt_d(n: int) -> float:
-    """d_n ~ d_inf rho_x^{-n} cos(theta_x (n - 1/2)) n^{-3/2}."""
-    _, rho_x, theta_x = _geom()
-    ac = asymptotic_constants()
-    return (ac.d_inf * rho_x ** (-n) * math.cos(theta_x * (n - 0.5))
-            * n ** -DAMPING["d"])
-
-
-def asympt_cJ(n: int) -> float:
-    """Leading term of the rate-function omega-coefficients: exactly +-2."""
-    return 2.0 * (-1.0) ** n
-
-
-def asympt_dJ(n: int) -> float:
-    """d_{J,n} ~ d_J rho_x^{-n} cos(theta_x (3/2 - n)) n^{-5/2}."""
-    _, rho_x, theta_x = _geom()
-    ac = asymptotic_constants()
-    return (ac.d_J * rho_x ** (-n) * math.cos(theta_x * (1.5 - n))
-            * n ** -DAMPING["dJ"])
-
-
-def asympt_dF(n: int) -> float:
-    _, rho_x, theta_x = _geom()
-    ac = asymptotic_constants()
-    return (ac.d_F * rho_x ** (-n) * math.cos(theta_x * (n - 1.5))
-            * n ** -DAMPING["dF"])
-
-
-def asympt_dG(n: int) -> float:
-    """d_{G,n} ~ d_G rho_x^{-n} sin(theta_x (n + 1/4)) n^{-3/4}."""
-    _, rho_x, theta_x = _geom()
-    ac = asymptotic_constants()
-    return (ac.d_G * rho_x ** (-n) * math.sin(theta_x * (n + 0.25))
-            * n ** -DAMPING["dG"])
-
-
-_FAMILY_FUNS = {"c": asympt_c, "d": asympt_d, "cJ": asympt_cJ,
-                "dJ": asympt_dJ, "dF": asympt_dF, "dG": asympt_dG}
-
-
 def trig_factor(family: str, n: int) -> float:
     """The oscillatory factor of the leading asymptotics ((-1)^n counts)."""
-    _, rho_x, theta_x = _geom()
+    _, _, theta_x = _geom()
     if family in ("c", "cJ"):
         return (-1.0) ** n
     if family == "d":
@@ -254,6 +207,51 @@ def trig_factor(family: str, n: int) -> float:
     if family == "dG":
         return math.sin(theta_x * (n + 0.25))
     raise ValueError(f"unknown family {family!r}")
+
+
+def asympt_c(n: int) -> float:
+    """c_n ~ c_inf (1-omega_1)^{-n} (-1)^n n^{-3/2}."""
+    omega1, _, _ = _geom()
+    ac = asymptotic_constants()
+    return (ac.c_inf * (1 - omega1) ** (-n) * trig_factor("c", n)
+            * n ** -DAMPING["c"])
+
+
+def _log_law(amp: float, family: str, n: int) -> float:
+    """amp rho_x^{-n} (trig factor) n^{-p}: the transfer law of the
+    log-variable families, whose dominant singularities sit at distance
+    rho_x."""
+    _, rho_x, _ = _geom()
+    return amp * rho_x ** (-n) * trig_factor(family, n) * n ** -DAMPING[family]
+
+
+def asympt_d(n: int) -> float:
+    """d_n ~ d_inf rho_x^{-n} cos(theta_x (n - 1/2)) n^{-3/2}."""
+    return _log_law(asymptotic_constants().d_inf, "d", n)
+
+
+def asympt_cJ(n: int) -> float:
+    """Leading term of the rate-function omega-coefficients: exactly +-2."""
+    return 2.0 * trig_factor("cJ", n)
+
+
+def asympt_dJ(n: int) -> float:
+    """d_{J,n} ~ d_J rho_x^{-n} cos(theta_x (n - 3/2)) n^{-5/2}."""
+    return _log_law(asymptotic_constants().d_J, "dJ", n)
+
+
+def asympt_dF(n: int) -> float:
+    """d_{F,n} ~ d_F rho_x^{-n} cos(theta_x (n - 3/2)) n^{-5/2}."""
+    return _log_law(asymptotic_constants().d_F, "dF", n)
+
+
+def asympt_dG(n: int) -> float:
+    """d_{G,n} ~ d_G rho_x^{-n} sin(theta_x (n + 1/4)) n^{-3/4}."""
+    return _log_law(asymptotic_constants().d_G, "dG", n)
+
+
+_FAMILY_FUNS = {"c": asympt_c, "d": asympt_d, "cJ": asympt_cJ,
+                "dJ": asympt_dJ, "dF": asympt_dF, "dG": asympt_dG}
 
 
 def exact_family_floats(family: str, order: int):

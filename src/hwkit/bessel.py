@@ -21,10 +21,12 @@ symmetry K_nu = K_{-nu} is automatic (only |nu| enters).
 
 bessel_k_scaled works elementwise over an array x: all its integrals run
 through one batched tanh-sinh call, which is how pricing.norm_factor
-evaluates K_{-mu} on every node of a level at once.  scipy.special.kve
-would give the same values, but importing scipy.special costs about
-20 MB of resident memory and 0.2 s at start-up, more than this whole
-layer costs a pricing run, so it is not used.
+evaluates K_{-mu} on every node of a level at once.  Each integral takes
+quadrature.integrate's fixed policy: 1e-12 relative agreement within 12
+levels.  scipy.special.kve would give the same values, but importing
+scipy.special costs about 20 MB of resident memory and 0.2 s at
+start-up, more than this whole layer costs a pricing run, so it is not
+used.
 
 Inputs are refused with ValueError, before any integral runs, when nu or
 any x is not finite or any x is not positive.  A result that would
@@ -38,9 +40,8 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadratureError, QuadratureSpec, integrate
+from .quadrature import QuadratureError, integrate
 
-_DEFAULT_SPEC = QuadratureSpec(levels=12, target_rel_err=1e-12)
 _U_MAX = 700.0      # cosh(u) and the integrand stay finite below it
 
 
@@ -83,7 +84,7 @@ def _checked(nu, x):
     return nu, xs
 
 
-def bessel_k_scaled(nu: float, x, spec: QuadratureSpec = _DEFAULT_SPEC):
+def bessel_k_scaled(nu: float, x):
     """e^x K_nu(x) for x > 0, elementwise over an array x.
 
     A scalar x gives a float, an array x an array of its shape.
@@ -100,17 +101,16 @@ def bessel_k_scaled(nu: float, x, spec: QuadratureSpec = _DEFAULT_SPEC):
         decay = 2.0 * flat[rows, None] * np.sinh(0.5 * u) ** 2
         return 0.5 * np.exp(anu * u - decay) * (1.0 + np.exp(-2.0 * anu * u))
 
-    val, _ = integrate(integrand, 0.0, u_max, spec)
+    val, _ = integrate(integrand, 0.0, u_max)
     return float(val[0]) if xs.ndim == 0 else val.reshape(xs.shape)
 
 
-def bessel_k_log(nu: float, x: float,
-                 spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def bessel_k_log(nu: float, x: float) -> float:
     """log K_nu(x), safe for arbitrarily large x."""
-    return -x + math.log(bessel_k_scaled(nu, x, spec))
+    return -x + math.log(bessel_k_scaled(nu, x))
 
 
-def bessel_k(nu: float, x: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def bessel_k(nu: float, x: float) -> float:
     """K_nu(x); evaluated through the log domain above x = 700.
 
     Below the underflow threshold of double precision (~745) the log
@@ -120,5 +120,5 @@ def bessel_k(nu: float, x: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float
     nu, x = _checked(nu, x)
     x = float(x)
     if x > 700.0:
-        return math.exp(max(bessel_k_log(nu, x, spec), -745.0))
-    return math.exp(-x) * bessel_k_scaled(nu, x, spec)
+        return math.exp(max(bessel_k_log(nu, x), -745.0))
+    return math.exp(-x) * bessel_k_scaled(nu, x)

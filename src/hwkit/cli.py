@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage errors (argparse), 3 file/parse errors,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -183,23 +182,15 @@ def _load_scenarios(path):
                      T=float(d["T"]), K=float(d["K"])) for d in data]
 
 
-def _pricing_config(args):
-    from .pricing import DEFAULT_QUAD, default_evaluators
-
-    domain = tuple(args.domain) if args.domain else None
-    kwargs = {"domain": domain} if domain else {}
-    F_eval, G_eval = default_evaluators(args.order, **kwargs)
-    quad = dataclasses.replace(DEFAULT_QUAD, target_rel_err=args.quad_tol)
-    return F_eval, G_eval, quad
-
-
 def cmd_price(args) -> int:
-    from .pricing import TABLE3_SCENARIOS, price_scenarios
+    from .pricing import TABLE3_SCENARIOS, default_evaluators, price_scenarios
 
     scenarios = (list(TABLE3_SCENARIOS) if args.scenarios == "table3"
                  else _load_scenarios(args.scenarios))
-    F_eval, G_eval, quad = _pricing_config(args)
-    results = price_scenarios(scenarios, F_eval, G_eval, quad)
+    domain = tuple(args.domain) if args.domain else None
+    kwargs = {"domain": domain} if domain else {}
+    F_eval, G_eval = default_evaluators(args.order, **kwargs)
+    results = price_scenarios(scenarios, F_eval, G_eval)
     rows = _scenario_rows(results, scenarios)
     _emit_rows(("scenario", "mu", "tau", "c_A", "n_tau", "C_A"), rows,
                args.format, args.out, args.precision)
@@ -269,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "or a JSON file of {S0,r,sigma,T,K} objects")
     sp.add_argument("--order", type=int, default=6)
     sp.add_argument("--domain", type=float, nargs=2, default=None)
-    sp.add_argument("--quad-tol", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_price)
 
     return p

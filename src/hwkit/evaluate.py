@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .asympt import _geom  # rho_x guard
 
 DEFAULT_DOMAIN = (0.04, 32.88)
 
@@ -100,7 +99,7 @@ def make_evaluator(target: str, order: int,
     lo, hi = domain
     if not (0 < lo < hi):
         raise EvaluatorError("domain must satisfy 0 < lo < hi")
-    _, rho_x, _ = _geom()
+    rho_x = exact.critical_points(1).rho_x
     log_lo, log_hi = math.log(lo), math.log(hi)
     if max(abs(log_lo), abs(log_hi)) >= rho_x:
         raise EvaluatorError(

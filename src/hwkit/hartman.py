@@ -31,6 +31,8 @@ from . import exact
 from .quadrature import gauss_legendre_nodes
 
 SMALL_T_THRESHOLD = 0.1
+_REL_TOL = 1e-10      # theta_hw: agreement of its two mpmath quadratures
+_PROBE_NODES = (96, 192, 384, 768, 1536)      # theta_hw_stability's rules
 
 
 class ThetaSmallTimeError(RuntimeError):
@@ -51,11 +53,13 @@ def _dps_for(t: float) -> int:
     return int(math.pi ** 2 / (2.0 * t) / math.log(10.0) * 1.3) + 25
 
 
-def theta_hw(r: float, t: float, rel_tol: float = 1e-10) -> float:
+def theta_hw(r: float, t: float) -> float:
     """theta_r(t) by direct quadrature in adaptive precision.
 
-    Refuses t < SMALL_T_THRESHOLD (the cancellation makes node counts and
-    precision explode); use theta_asympt with rho = r t there.
+    Two mpmath quadratures on different splits of the window must agree
+    to _REL_TOL, else ThetaSmallTimeError.  Refuses t < SMALL_T_THRESHOLD
+    (the cancellation makes node counts and precision explode); use
+    theta_asympt with rho = r t there.
     """
     if r <= 0 or t <= 0:
         raise ValueError("theta_hw needs r > 0 and t > 0")
@@ -77,36 +81,34 @@ def theta_hw(r: float, t: float, rel_tol: float = 1e-10) -> float:
         val = mp.quad(integrand, [0, float(xi_max) / 3, 2 * float(xi_max) / 3,
                                   xi_max])
         check = mp.quad(integrand, mp.linspace(0, xi_max, 7))
-        if abs(val - check) > abs(val) * rel_tol + mp.mpf(10) ** (-dps + 8):
+        if abs(val - check) > abs(val) * _REL_TOL + mp.mpf(10) ** (-dps + 8):
             raise ThetaSmallTimeError(
                 f"theta quadrature unstable at r={r}, t={t}")
         pref = rr / mp.sqrt(2 * mp.pi ** 3 * tt) * mp.e ** (mp.pi ** 2 / (2 * tt))
         return float(pref * val)
 
 
-def theta_hw_stability(r: float, t: float, n_start: int = 96,
-                       doublings: int = 4) -> dict:
+def theta_hw_stability(r: float, t: float) -> dict:
     """Node-doubling probe of the raw double-precision quadrature.
 
-    Evaluates the theta integral with composite Gauss-Legendre in float64
-    at n, 2n, 4n, ... nodes and reports the successive relative changes.
-    Stable (small, shrinking changes) for moderate t; at t <= 0.05 the
-    cancellation noise dominates and the changes stay O(1) or worse --
-    exactly the breakdown that motivates the asymptotic evaluation.
+    Evaluates the theta integral with Gauss-Legendre in float64 at 96,
+    192, ..., 1536 nodes (_PROBE_NODES) and reports the successive
+    relative changes.  Stable (small, shrinking changes) for moderate t;
+    at t <= 0.05 the cancellation noise dominates and the changes stay
+    O(1) or worse -- exactly the breakdown that motivates the asymptotic
+    evaluation.
     """
     if r <= 0 or t <= 0:
         raise ValueError("need r > 0 and t > 0")
     xi_max = math.sqrt(math.pi ** 2 + 2.0 * t * 60.0 * math.log(10.0))
     pref_log = math.log(r) - 0.5 * math.log(2.0 * math.pi ** 3 * t)
     values = []
-    n = n_start
-    for _ in range(doublings + 1):
+    for n in _PROBE_NODES:
         x, w = gauss_legendre_nodes(0.0, xi_max, n)
         # exponent kept together so the e^{pi^2/2t} amplification is explicit
         expo = (math.pi ** 2 - x ** 2) / (2.0 * t) - r * np.cosh(x) + pref_log
         vals = np.exp(expo) * np.sinh(x) * np.sin(math.pi * x / t)
         values.append(float(np.dot(vals, w)))
-        n *= 2
     rel_changes = []
     for a, b in zip(values, values[1:]):
         scale = max(abs(a), abs(b), 1e-300)

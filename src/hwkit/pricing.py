@@ -16,12 +16,14 @@ running max-subtraction keeps the quadrature in range at t as small as
 0.0025.  Integration windows are picked adaptively from the decay of that
 bracket.
 Every integral runs through one Gauss-Legendre node-doubling driver
-(_doubling): n doubles from a fixed start (64 outer z-nodes for the 2-D
-core, whose inner u rule has half as many, so 64x32 first; 64 for the 1-D
-integrals) at most `levels` times until two levels agree to
-`target_rel_err`, else QuadratureError.  A level whose value is not finite
-raises QuadratureError at once.  DEFAULT_QUAD's 4 levels cap the 2-D core
-at a 512x256 (z, u) rule and the 1-D integrals at 512 nodes.
+(_doubling) with one fixed convergence policy: n doubles from a fixed
+start (64 outer z-nodes for the 2-D core, whose inner u rule has half as
+many, so 64x32 first; 64 for the 1-D integrals) at most 4 times until two
+levels agree to 1e-9 relative, else QuadratureError.  A level whose value
+is not finite raises QuadratureError at once.  The 4 levels cap the 2-D
+core at a 512x256 (z, u) rule and the 1-D integrals at 512 nodes.  Every
+integral here converges spectrally, at its second level on the benchmark
+scenarios, so no caller tunes the policy.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -61,11 +63,12 @@ import numpy as np
 from . import exact
 from .bessel import bessel_k_scaled
 from .evaluate import DEFAULT_DOMAIN, make_evaluator
-from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre_nodes
+from .quadrature import QuadratureError, gauss_legendre_nodes
 
 PI2_HALF = exact.PI2_HALF
 
-DEFAULT_QUAD = QuadratureSpec(levels=4, target_rel_err=1e-9)
+_LEVELS = 4           # node counts 64 to 512: the 2-D core at most 512x256
+_REL_TOL = 1e-9       # agreement between two levels that ends an integral
 PRICING_ORDER = 6  # series truncation used for the benchmark runs
 
 
@@ -235,6 +238,17 @@ def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
 _SIDES = np.array([[1.0], [-1.0]])      # _u_bounds' rows: upper, lower bound
 
 
+def _ustar(z, payoff, log_k):
+    """Per z node, the u that minimizes the inner exponent on the payoff's
+    support: -z, clipped to u >= log k for a call and u <= log k for a
+    put."""
+    if payoff == "call":
+        return np.maximum(log_k, -z)
+    if payoff == "put":
+        return np.minimum(log_k, -z)
+    return -z
+
+
 def _u_bounds(z, tau, mu, payoff, k):
     """Inner-integral windows [u_lo, u_hi] per z node (vectorized).
 
@@ -249,12 +263,7 @@ def _u_bounds(z, tau, mu, payoff, k):
     six steps from a = 1; the windows are then widened 25% about u*.
     """
     log_k = math.log(k) if k > 0 else -math.inf
-    if payoff == "call":
-        ustar = np.maximum(log_k, -z)
-    elif payoff == "put":
-        ustar = np.minimum(log_k, -z)
-    else:
-        ustar = -z
+    ustar = _ustar(z, payoff, log_k)
     grow = np.array([[max(mu + 1.0, 0.0)
                       + (1.0 if payoff in ("call", "mean") else 0.0)],
                      [max(-mu, 0.0)]])
@@ -277,30 +286,30 @@ def _u_bounds(z, tau, mu, payoff, k):
 
 # -- core two-dimensional integral ----------------------------------------------
 
-def _doubling(level, lo, hi, n0, quad: QuadratureSpec, what: str) -> float:
+def _doubling(level, lo, hi, n0, what: str) -> float:
     """Gauss-Legendre node doubling on [lo, hi] for a one-level evaluator.
 
     level(zn, zw) returns the integral's value on one node set.  Starting
-    at n0 nodes, n doubles up to quad.levels times; the first value that
-    agrees with the previous level to quad.target_rel_err is returned.  A
-    value that is not finite raises at the level that produced it.
+    at n0 nodes, n doubles up to _LEVELS times; the first value that
+    agrees with the previous level to _REL_TOL is returned.  A value that
+    is not finite raises at the level that produced it.
     """
     prev = None
     n = n0
-    for _ in range(quad.levels):
+    for _ in range(_LEVELS):
         val = level(*gauss_legendre_nodes(lo, hi, n))
         if not math.isfinite(val):
             raise QuadratureError(f"{what}: non-finite value at {n} nodes")
-        if prev is not None and abs(val - prev) <= quad.target_rel_err * max(
-                abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= _REL_TOL * max(abs(val),
+                                                                  1e-300):
             return val
         prev = val
         n *= 2
-    raise QuadratureError(f"{what} did not converge in {quad.levels} levels "
+    raise QuadratureError(f"{what} did not converge in {_LEVELS} levels "
                           f"({n // 2} nodes)")
 
 
-def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
+def _core_2d(tau, mu, k, payoff, F_eval, G_eval):
     """(1/(2 pi tau)) e^{-mu^2 tau/2} double integral of the weighted density.
 
     payoff in {"call", "put", "one", "mean"}; "one" integrates the bare
@@ -314,13 +323,6 @@ def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
     1) multiplies the density after its max-shifted exp.
     """
     log_k = math.log(k) if k > 0 else -math.inf
-
-    def ustar_fn(z):
-        if payoff == "call":
-            return np.maximum(log_k, -z)
-        if payoff == "put":
-            return np.minimum(log_k, -z)
-        return -z
 
     def level(zn, zw):
         ez = np.exp(zn)
@@ -343,8 +345,8 @@ def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
             dens *= E
         return math.exp(M) * float(np.dot(dens @ wxi, (u_hi - u_lo) * zw))
 
-    z_lo, z_hi = _z_window(tau, mu, ustar_fn, F_eval)
-    val = _doubling(level, z_lo, z_hi, 64, quad,
+    z_lo, z_hi = _z_window(tau, mu, lambda z: _ustar(z, payoff, log_k), F_eval)
+    val = _doubling(level, z_lo, z_hi, 64,
                     f"2-D pricing integral (tau={tau}, mu={mu}, k={k}, "
                     f"payoff={payoff})")
     return val * math.exp(-0.5 * mu * mu * tau) / (2.0 * math.pi * tau)
@@ -352,8 +354,7 @@ def _core_2d(tau, mu, k, payoff, F_eval, G_eval, quad: QuadratureSpec):
 
 # -- public operations -----------------------------------------------------------
 
-def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
-                quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     """n(tau): one-dimensional normalization integral via scaled K_{-mu}.
 
     n(tau) = 1/(pi tau) e^{-mu^2 tau/2}
@@ -378,22 +379,20 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None,
         return float(np.dot(Gv * kv * np.exp(-bracket / tau), zw))
 
     z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
-    val = _doubling(level, z_lo, z_hi, 64, quad,
+    val = _doubling(level, z_lo, z_hi, 64,
                     f"normalization integral (tau={tau}, mu={mu})")
     return val * math.exp(-0.5 * mu * mu * tau) / (math.pi * tau)
 
 
-def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None,
-                quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     """n(tau) through the plain 2-D density integral (cross-check route)."""
     _require_finite(tau=tau, mu=mu)
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, 0.0, "one", F_eval, G_eval, quad)
+    return _core_2d(tau, mu, 0.0, "one", F_eval, G_eval)
 
 
 def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
-               quad: QuadratureSpec = DEFAULT_QUAD,
                norm: Optional[float] = None) -> float:
     """Normalized leading density f0(a, t) of the time average w.r.t. da/a."""
     _require_finite(a=a, t=t, mu=mu)
@@ -402,7 +401,7 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
     if norm is None:
-        norm = norm_factor(t, mu, F_eval, G_eval, quad)
+        norm = norm_factor(t, mu, F_eval, G_eval)
     x = math.log(a)
 
     def level(zn, zw):
@@ -415,19 +414,18 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
         return math.exp(M) * float(np.dot(np.exp(L - M), zw))
 
     z_lo, z_hi = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
-    val = _doubling(level, z_lo, z_hi, 64, quad,
+    val = _doubling(level, z_lo, z_hi, 64,
                     f"density integral (a={a}, t={t}, mu={mu})")
     return (val * math.exp(mu * x - 0.5 * mu * mu * t)
             / (2.0 * math.pi * t) / norm)
 
 
-def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None,
-                 quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     """Unnormalized mean of the time average under the leading density."""
     _require_finite(tau=tau, mu=mu)
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, 0.0, "mean", F_eval, G_eval, quad)
+    return _core_2d(tau, mu, 0.0, "mean", F_eval, G_eval)
 
 
 def exact_mean(tau: float, mu: float) -> float:
@@ -437,29 +435,28 @@ def exact_mean(tau: float, mu: float) -> float:
 
 
 def price_call_reduced(k: float, tau: float, mu: float, F_eval=None,
-                       G_eval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+                       G_eval=None) -> float:
     """Raw reduced Asian call c_A(k, tau) (benchmark-table convention)."""
     _require_finite(k=k, tau=tau, mu=mu)
     if k <= 0 or tau <= 0:
         raise ValueError("price_call_reduced needs k > 0 and tau > 0")
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, k, "call", F_eval, G_eval, quad)
+    return _core_2d(tau, mu, k, "call", F_eval, G_eval)
 
 
 def price_put_reduced(k: float, tau: float, mu: float, F_eval=None,
-                      G_eval=None, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+                      G_eval=None) -> float:
     """Raw reduced Asian put p_A(k, tau)."""
     _require_finite(k=k, tau=tau, mu=mu)
     if k <= 0 or tau <= 0:
         raise ValueError("price_put_reduced needs k > 0 and tau > 0")
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, k, "put", F_eval, G_eval, quad)
+    return _core_2d(tau, mu, k, "put", F_eval, G_eval)
 
 
 def price_scenario(s: Scenario, F_eval=None, G_eval=None,
-                   quad: QuadratureSpec = DEFAULT_QUAD,
                    with_put: bool = False,
                    norm: Optional[float] = None) -> PriceResult:
     """Full scenario pricing: reduced values, normalization, dollar price.
@@ -471,19 +468,18 @@ def price_scenario(s: Scenario, F_eval=None, G_eval=None,
         F_eval, G_eval = default_evaluators()
     rp = ReducedParams.from_scenario(s)
     if norm is None:
-        norm = norm_factor(rp.tau, rp.mu, F_eval, G_eval, quad)
-    c_raw = price_call_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval, quad)
+        norm = norm_factor(rp.tau, rp.mu, F_eval, G_eval)
+    c_raw = price_call_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval)
     disc = math.exp(-s.r * s.T) * s.S0
     put_price = p_raw = None
     if with_put:
-        p_raw = price_put_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval, quad)
+        p_raw = price_put_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval)
         put_price = disc * p_raw / norm
     return PriceResult(c_reduced=c_raw, norm=norm, price=disc * c_raw / norm,
                        put_price=put_price, p_reduced=p_raw)
 
 
 def price_scenarios(scenarios, F_eval=None, G_eval=None,
-                    quad: QuadratureSpec = DEFAULT_QUAD,
                     with_put: bool = False):
     """Batch pricing, in order; n(tau) once per distinct (tau, mu)."""
     if F_eval is None or G_eval is None:
@@ -494,7 +490,7 @@ def price_scenarios(scenarios, F_eval=None, G_eval=None,
         rp = ReducedParams.from_scenario(s)
         key = (rp.tau, rp.mu)
         if key not in norms:
-            norms[key] = norm_factor(rp.tau, rp.mu, F_eval, G_eval, quad)
-        results.append(price_scenario(s, F_eval, G_eval, quad, with_put,
+            norms[key] = norm_factor(rp.tau, rp.mu, F_eval, G_eval)
+        results.append(price_scenario(s, F_eval, G_eval, with_put,
                                       norm=norms[key]))
     return results

@@ -125,7 +125,7 @@ def test_price_scenario_file_and_missing_file(tmp_path, capsys):
 def test_price_runaway_integral_exits_numeric(tmp_path, capsys):
     # tau = 1.25: the z window reaches past the order-6 series window,
     # the evaluator jumps at its switch point and node doubling converges
-    # only algebraically; the default spec's 4 levels stop it at 512 nodes
+    # only algebraically; the driver's fixed 4 levels stop it at 512 nodes
     from hwkit.cli import EXIT_NUMERIC
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(

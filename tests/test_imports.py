@@ -1,8 +1,9 @@
-"""Every name a hwkit module imports is used in that module.
+"""Every name a hwkit module, script or test imports is used in that file.
 
 No linter ships with the test environment, so this walks the AST: a name
 bound by an import must appear as a Name somewhere in the same file.
-`__init__.py` re-exports the public API and is exempt.
+`__init__.py` re-exports the public API and is exempt, as is the
+acceptance suite, which stays as written.
 """
 
 import ast
@@ -10,15 +11,22 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hwkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hwkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS_AND_TESTS = sorted(
+    p for p in [*ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+    if p.name != "test_acceptance.py")
 
 
 def test_modules_found():
     assert len(MODULES) >= 10
+    assert len(SCRIPTS_AND_TESTS) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS_AND_TESTS,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}

@@ -14,8 +14,7 @@ from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
                            norm_direct, norm_factor, price_call_reduced,
                            price_put_reduced, price_scenario, price_scenarios,
                            rate_I, rate_J, rate_J_with_argmin, reduced_mean)
-from hwkit.quadrature import (QuadratureError, QuadratureSpec,
-                              gauss_legendre_nodes)
+from hwkit.quadrature import QuadratureError, gauss_legendre_nodes
 
 # printed benchmark rows: (mu, tau, c_A, n_tau, C_A)
 TABLE3_ROWS = [
@@ -288,18 +287,17 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
 
 def test_doubling_raises_after_its_levels():
     # a step at an interior point: Gauss-Legendre converges only
-    # algebraically, so 1e-9 is out of reach in three levels
+    # algebraically, so 1e-9 is out of reach in the driver's four levels
     sizes = []
 
     def level(zn, zw):
         sizes.append(len(zn))
         return float(np.dot(zn > 1.0 / 3.0, zw))
 
-    quad = QuadratureSpec(levels=3, target_rel_err=1e-9)
     with pytest.raises(QuadratureError,
-                       match=r"step integral did not converge in 3 levels"):
-        pricing._doubling(level, 0.0, 1.0, 16, quad, "step integral")
-    assert sizes == [16, 32, 64]
+                       match=r"step integral did not converge in 4 levels"):
+        pricing._doubling(level, 0.0, 1.0, 16, "step integral")
+    assert sizes == [16, 32, 64, 128]
 
 
 def _nan_like(rho):

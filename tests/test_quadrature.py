@@ -1,6 +1,5 @@
-"""The tanh-sinh entry point, scalar and batched, and the spec it reads."""
+"""The tanh-sinh entry point, scalar and batched, at its fixed policy."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwkit.quadrature import (QuadratureError, QuadratureSpec,
-                              _tanh_sinh_nodes, integrate)
-
-
-def test_spec_holds_only_what_is_read():
-    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
-        "levels", "target_rel_err"]
+from hwkit.quadrature import QuadratureError, _tanh_sinh_nodes, integrate
 
 
 def test_tanh_sinh_integrates_a_smooth_function():
@@ -24,11 +17,15 @@ def test_tanh_sinh_integrates_a_smooth_function():
     assert err <= 1e-9 * val
 
 
+def _step(x):
+    """A jump at x = 1/3: tanh-sinh converges only algebraically on it."""
+    return 1.0 + (x > 1.0 / 3.0)
+
+
 def test_tanh_sinh_raises_when_levels_run_out():
-    # levels 2..4 (at most 33 nodes) cannot resolve 40 oscillations
-    spec = QuadratureSpec(levels=4, target_rel_err=1e-12)
+    # levels 2..12 cannot resolve the jump to 1e-12
     with pytest.raises(QuadratureError, match="did not converge"):
-        integrate(lambda x: 2.0 + np.cos(250.0 * x), 0.0, 1.0, spec)
+        integrate(_step, 0.0, 1.0)
 
 
 def _positive(x, p):
@@ -87,13 +84,12 @@ def test_converged_rows_leave_the_pass():
 
 
 def test_batched_raises_when_one_row_runs_out():
-    # the constant rows agree at level 5; 40 oscillations need more than 6
-    spec = QuadratureSpec(levels=6, target_rel_err=1e-12)
-    freq = np.array([0.0, 250.0, 0.0])
+    # the constant rows agree early; the row with the jump never does
+    jump = np.array([0.0, 1.0, 0.0])
     with pytest.raises(QuadratureError,
                        match=r"did not converge on \[0.0, 1.0\] \(1 of 3"):
-        integrate(lambda x, r: 2.0 + np.cos(freq[r, None] * x),
-                  np.zeros(3), 1.0, spec)
+        integrate(lambda x, r: 1.0 + jump[r, None] * (x > 1.0 / 3.0),
+                  np.zeros(3), 1.0)
 
 
 def test_rejects_empty_interval():
