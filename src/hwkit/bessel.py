@@ -47,10 +47,14 @@ _U_MAX = 700.0      # cosh(u) and the integrand stay finite below it
 
 def _cutoff(nu: float, x: np.ndarray, decades: float = 42.0) -> np.ndarray:
     """Per x, a u beyond which x(cosh u - 1) - |nu| u exceeds `decades`
-    in e-folds: u grows by 1.5x from max(1, asinh(1/x)), capped at
-    _U_MAX, until it does."""
+    in e-folds: u grows by 1.5x, capped at _U_MAX, until it does.  It
+    starts at max(asinh(1/x), min(1, sqrt(2 target / x))), where
+    x u^2 / 2 reaches the target, so the window tracks the peak's width
+    x^(-1/2) at large x."""
     target = decades * math.log(10.0)
-    u = np.minimum(np.maximum(1.0, np.arcsinh(1.0 / np.maximum(x, 1e-300))),
+    xs = np.maximum(x, 1e-300)
+    u = np.minimum(np.maximum(np.arcsinh(1.0 / xs),
+                              np.minimum(1.0, np.sqrt(2.0 * target / xs))),
                    _U_MAX)
     while True:
         short = x * (np.cosh(u) - 1.0) - abs(nu) * u - target <= 0

@@ -9,21 +9,24 @@ of the standardized geometric Brownian motion is
 
 with F, G the Hartman-Watson expansion functions.  Everything priced here
 integrates this density.  Working variables are logarithmic throughout
-(z = log rho for the ratio integral, u = log a inside), where the
-exponent becomes -[F(e^z) - pi^2/2 + e^z cosh(u + z)]/t: a nonnegative
+(z = log rho for the ratio, x = log a for the average), where the
+exponent becomes -[F(e^z) - pi^2/2 + e^z cosh(x + z)]/t: a nonnegative
 bracket, minimized at the density peak, so exp never overflows and a
 running max-subtraction keeps the quadrature in range at t as small as
 0.0025.  Integration windows are picked adaptively from the decay of that
 bracket.
-Every integral runs through one Gauss-Legendre node-doubling driver
-(_doubling) with one fixed convergence policy: n doubles from a fixed
-start (64 outer z-nodes for the 2-D core, whose inner u rule has half as
-many, so 64x32 first; 64 for the 1-D integrals) at most 4 times until two
-levels agree to 1e-9 relative, else QuadratureError.  A level whose value
-is not finite raises QuadratureError at once.  The 4 levels cap the 2-D
-core at a 512x256 (z, u) rule and the 1-D integrals at 512 nodes.  Every
-integral here converges spectrally, at its second level on the benchmark
-scenarios, so no caller tunes the policy.
+
+Prices come from the marginal density q(x) of x = log a (marginal): its
+log is a Chebyshev interpolant built from 65 z-integrals on one shared z
+rule, and every call, put, the mass n(tau) (norm_direct) and the mean
+(reduced_mean) is a smooth 1-D integral of a payoff times q, with no
+kink.  A batch (price_scenarios) builds n(tau) and one marginal per
+distinct (tau, mu) and prices that group's strikes together; nothing
+built for one (tau, mu) outlives the call.  Every integral runs through
+one Gauss-Legendre node-doubling driver (_doubling): n doubles from a
+fixed start at most 4 times until two levels agree to 1e-9 relative,
+else QuadratureError; a batch of values converges value by value, so a
+strike's price does not depend on its batch.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -33,28 +36,23 @@ the dollar price applies it at the end:
     C_A(K, T) = e^{-rT} S0 c_A(k, tau) / n(tau).
 
 price_call_reduced/price_put_reduced therefore return raw values and
-PriceResult carries (c_reduced, norm, price).
+PriceResult carries (c_reduced, norm, price).  n(tau) for prices is
+norm_factor, a 1-D integral against the modified Bessel function
+K_{-mu}, independent of the marginal's mass.
 
-The normalization has two independent routes -- a one-dimensional
-integral against the modified Bessel function K_{-mu} (norm_factor) and
-the plain two-dimensional density integral (norm_direct) -- which the
-test-suite holds against each other at 1e-6.
-
-Work that does not change between calls is done once.  Every integral
-first probes F on one fixed grid of z = log rho to pick its window; the
-probe values F(e^z) are cached per F evaluator, filled on first use and
-held through a weak reference, so an evaluator's entry goes when the
-evaluator does (a callable that cannot be hashed or weakly referenced is
-probed afresh on each call).  The cache assumes F_eval is a pure
-function of rho.  A batch (price_scenarios) computes n(tau) once per
-distinct (tau, mu) and hands it to price_scenario through `norm=`, as a
-density sweep does with f0_density; scenarios are priced serially.
+Every integral first probes F on one fixed grid of z = log rho to pick
+its window; the probe values F(e^z) are cached per F evaluator, filled
+on first use and held through a weak reference, so an evaluator's entry
+goes when the evaluator does (a callable that cannot be hashed or weakly
+referenced is probed afresh on each call).  The cache assumes F_eval is
+a pure function of rho.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from functools import lru_cache
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,7 +65,7 @@ from .quadrature import QuadratureError, gauss_legendre_nodes
 
 PI2_HALF = exact.PI2_HALF
 
-_LEVELS = 4           # node counts 64 to 512: the 2-D core at most 512x256
+_LEVELS = 4           # node counts n0 to 8 n0
 _REL_TOL = 1e-9       # agreement between two levels that ends an integral
 PRICING_ORDER = 6  # series truncation used for the benchmark runs
 
@@ -235,121 +233,215 @@ def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
     return (mid + pad * (z_lo - mid) - 0.02, mid + pad * (z_hi - mid) + 0.02)
 
 
-_SIDES = np.array([[1.0], [-1.0]])      # _u_bounds' rows: upper, lower bound
+# -- the node-doubling driver and the marginal density of x = log a -----------
 
-
-def _ustar(z, payoff, log_k):
-    """Per z node, the u that minimizes the inner exponent on the payoff's
-    support: -z, clipped to u >= log k for a call and u <= log k for a
-    put."""
-    if payoff == "call":
-        return np.maximum(log_k, -z)
-    if payoff == "put":
-        return np.minimum(log_k, -z)
-    return -z
-
-
-def _u_bounds(z, tau, mu, payoff, k):
-    """Inner-integral windows [u_lo, u_hi] per z node (vectorized).
-
-    The inner exponent is -e^z (cosh(u+z) - m)/tau below its per-z
-    minimum m, reached at u*.  Each bound sits where that exponent has
-    dropped by 56 + grow * a e-folds, a = |u - u*| its distance from u*
-    and grow the payoff's polynomial growth on that side.  Both sides
-    iterate together on a, as one (2, n) array:
-
-        a <- arccosh(m + tau (56 + grow a) / e^z) - side (z + u*),
-
-    six steps from a = 1; the windows are then widened 25% about u*.
-    """
-    log_k = math.log(k) if k > 0 else -math.inf
-    ustar = _ustar(z, payoff, log_k)
-    grow = np.array([[max(mu + 1.0, 0.0)
-                      + (1.0 if payoff in ("call", "mean") else 0.0)],
-                     [max(-mu, 0.0)]])
-    c = tau / np.exp(z)
-    base = np.cosh(ustar + z) + 56.0 * c
-    slope = grow * c
-    shift = _SIDES * (z + ustar)
-    a = np.ones_like(shift)
-    for _ in range(6):
-        a = np.arccosh(base + slope * a) - shift
-    u_lo = ustar - 1.25 * a[1]
-    u_hi = ustar + 1.25 * a[0]
-    if payoff == "call":
-        u_lo = np.maximum(u_lo, log_k)
-    elif payoff == "put":
-        u_hi = np.minimum(u_hi, log_k)
-        u_lo = np.minimum(u_lo, u_hi - 1e-12)
-    return u_lo, u_hi
-
-
-# -- core two-dimensional integral ----------------------------------------------
-
-def _doubling(level, lo, hi, n0, what: str) -> float:
-    """Gauss-Legendre node doubling on [lo, hi] for a one-level evaluator.
-
-    level(zn, zw) returns the integral's value on one node set.  Starting
-    at n0 nodes, n doubles up to _LEVELS times; the first value that
-    agrees with the previous level to _REL_TOL is returned.  A value that
-    is not finite raises at the level that produced it.
-    """
-    prev = None
+def _doubling(level, lo, hi, n0, what: str):
+    """Gauss-Legendre node doubling on [lo, hi]: level(xn, xw) gives the
+    value on one node set, a float or, when lo and hi are columns, one
+    value per row.  From n0 nodes, n doubles up to _LEVELS times; each
+    value keeps its first level that agrees with the previous one to
+    _REL_TOL.  An open value that is not finite raises at once."""
+    prev = out = done = None
     n = n0
     for _ in range(_LEVELS):
-        val = level(*gauss_legendre_nodes(lo, hi, n))
-        if not math.isfinite(val):
-            raise QuadratureError(f"{what}: non-finite value at {n} nodes")
-        if prev is not None and abs(val - prev) <= _REL_TOL * max(abs(val),
-                                                                  1e-300):
-            return val
-        prev = val
-        n *= 2
+        cur = level(*gauss_legendre_nodes(lo, hi, n))
+        if np.ndim(cur) == 0:           # one value: plain float arithmetic
+            cur = float(cur)
+            if not math.isfinite(cur):
+                raise QuadratureError(f"{what}: non-finite value at {n} nodes")
+            if prev is not None and abs(cur - prev) <= _REL_TOL * max(
+                    abs(cur), 1e-300):
+                return cur
+        else:
+            if done is None:
+                out, done = np.empty_like(cur), np.zeros(cur.shape, dtype=bool)
+            if not np.isfinite(cur[~done]).all():
+                raise QuadratureError(f"{what}: non-finite value at {n} nodes")
+            if prev is not None:
+                agree = ~done & (np.abs(cur - prev)
+                                 <= _REL_TOL * np.maximum(np.abs(cur), 1e-300))
+                out[agree], done = cur[agree], done | agree
+                if done.all():
+                    return out
+        prev, n = cur, 2 * n
     raise QuadratureError(f"{what} did not converge in {_LEVELS} levels "
                           f"({n // 2} nodes)")
 
 
-def _core_2d(tau, mu, k, payoff, F_eval, G_eval):
-    """(1/(2 pi tau)) e^{-mu^2 tau/2} double integral of the weighted density.
+_Z_NODES, _X_NODES = 128, 32    # first levels: z per build, x per option
+_DEGREE = 64          # Chebyshev degree of log q, from 65 points
+_CHEB_TOL = 1e-10     # largest allowed trailing coefficient of log q
+_CHOP = 1e-13         # coefficients past the last one above this are dropped
+_EFOLDS = 40.0        # the x window holds q and e^x q to e^-40 of their peak
+_OWN_EFOLDS = 34.0    # e-folds an option integral needs inside the window
+_LOG_ZERO = -800.0    # q under e^-800 is 0 in double precision
 
-    payoff in {"call", "put", "one", "mean"}; "one" integrates the bare
-    density (normalization), "mean" weights by the average itself.
 
-    The outer z rule starts at 64 nodes and the inner u rule on each z row
-    has half as many (64x32, then 128x64, ...): on the u windows the
-    integrand converges in about half the nodes the z axis needs.  Per
-    point, E = e^u is the one exp taken before the density's own, since
-    e^z cosh(u + z) = (e^{2z} E + 1/E)/2; the payoff (E - k, k - E, E or
-    1) multiplies the density after its max-shifted exp.
-    """
-    log_k = math.log(k) if k > 0 else -math.inf
+def _z_sums(x, zn, zw, tau, mu, F_eval, G_eval):
+    """Per x (a float or a 1-D array), (M, S): e^M S is the z-integral of
+    G(e^z) e^{mu z} e^{-[F(e^z) - pi^2/2 + e^z cosh(x + z)]/tau} on the rule
+    (zn, zw), M the largest exponent of the row, shifted out before exp."""
+    rho = np.exp(zn)
+    bracket = (np.asarray(F_eval(rho), dtype=float) - PI2_HALF
+               + rho * np.cosh(np.add.outer(x, zn)))
+    L = -bracket / tau + mu * zn + np.log(np.asarray(G_eval(rho), dtype=float))
+    M = L.max(axis=-1)
+    return M, np.dot(np.exp(L - M[..., None]), zw)
+
+
+def _z_integrals(x, z_win, n0, tau, mu, F_eval, G_eval, what):
+    """Per x, (shift, r) with e^shift r the z-integral of _z_sums, each r
+    converged by _doubling from n0 nodes."""
+    shift = None
 
     def level(zn, zw):
-        ez = np.exp(zn)
-        Fv = np.asarray(F_eval(ez), dtype=float)
-        Gv = np.asarray(G_eval(ez), dtype=float)
-        u_lo, u_hi = _u_bounds(zn, tau, mu, payoff, k)
-        xi, wxi = gauss_legendre_nodes(0.0, 1.0, len(zn) // 2)
-        U = u_lo[:, None] + (u_hi - u_lo)[:, None] * xi[None, :]
-        E = np.exp(U)
-        bracket = (Fv - PI2_HALF)[:, None] + 0.5 * ((ez * ez)[:, None] * E
-                                                    + 1.0 / E)
-        L = -bracket / tau + (mu * zn + np.log(Gv))[:, None] + mu * U
-        M = float(L.max())
-        dens = np.exp(L - M)
-        if payoff == "call":
-            dens *= np.maximum(E - k, 0.0)
-        elif payoff == "put":
-            dens *= np.maximum(k - E, 0.0)
-        elif payoff == "mean":
-            dens *= E
-        return math.exp(M) * float(np.dot(dens @ wxi, (u_hi - u_lo) * zw))
+        nonlocal shift
+        M, S = _z_sums(x, zn, zw, tau, mu, F_eval, G_eval)
+        shift = M if shift is None else shift
+        return S * np.exp(M - shift)
 
-    z_lo, z_hi = _z_window(tau, mu, lambda z: _ustar(z, payoff, log_k), F_eval)
-    val = _doubling(level, z_lo, z_hi, 64,
-                    f"2-D pricing integral (tau={tau}, mu={mu}, k={k}, "
-                    f"payoff={payoff})")
-    return val * math.exp(-0.5 * mu * mu * tau) / (2.0 * math.pi * tau)
+    r = _doubling(level, *z_win, n0, what)
+    return shift, r
+
+
+def _x_window(log_q, lo, hi, free, what):
+    """(x_lo, x_hi, peak): on a 49-point scan, one step past the points
+    where log q or log q + x is within _EFOLDS of its maximum, and log q's
+    maximum.  A free end still inside moves out by the scan's width."""
+    for _ in range(12):
+        x = np.linspace(lo, hi, 49)
+        lq = log_q(x)
+        if not np.isfinite(lq).all():
+            raise QuadratureError(f"{what}: non-finite value at {_Z_NODES} "
+                                  f"nodes")
+        near = (lq >= lq.max() - _EFOLDS) | (lq + x >= (lq + x).max() - _EFOLDS)
+        i0, i1 = near.nonzero()[0][[0, -1]]
+        grow_lo, grow_hi = free[0] and i0 == 0, free[1] and i1 == 48
+        if not (grow_lo or grow_hi):
+            return float(x[max(i0 - 1, 0)]), float(x[min(i1 + 1, 48)]), \
+                float(lq.max())
+        lo, hi = lo - grow_lo * (hi - lo), hi + grow_hi * (hi - lo)
+    raise QuadratureError(f"{what}: no x window found")
+
+
+@lru_cache(maxsize=1)
+def _cheb_matrix():
+    """Values at cos(pi j/_DEGREE) -> Chebyshev coefficients (a DCT-I)."""
+    j = np.arange(_DEGREE + 1)
+    D = np.cos(np.pi * np.outer(j, j) / _DEGREE) * (2.0 / _DEGREE)
+    D[:, [0, -1]] *= 0.5
+    D[[0, -1], :] *= 0.5
+    return D
+
+
+class Marginal:
+    """The unnormalized density q(x) of x = log a at (tau, mu), on [lo, hi].
+
+    log q is a Chebyshev interpolant, summed to its last coefficient above
+    _CHOP; err, its largest trailing coefficient, bounds its relative error
+    in q.  call(k) and put(k) integrate (e^x - k)^+ q and (k - e^x)^+ q,
+    mass() q (that is n(tau)) and mean() e^x q.
+    """
+
+    def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
+        self.tau, self.mu, self.F_eval, self.G_eval = tau, mu, F_eval, G_eval
+        what = f"marginal of log a (tau={tau}, mu={mu}, x in {scan})"
+        const = mu * mu * tau / 2 + math.log(2.0 * math.pi * tau)
+        zn, zw = gauss_legendre_nodes(*z_win, _Z_NODES)
+
+        def scan_log_q(x):
+            M, S = _z_sums(x, zn, zw, tau, mu, F_eval, G_eval)
+            return M + np.log(S) + mu * x - const
+
+        self.lo, self.hi, peak = _x_window(scan_log_q, *scan, free, what)
+        self.coeffs, self.err = np.array([-np.inf]), 0.0
+        if peak < _LOG_ZERO:            # a tail on which q underflows
+            return
+        x = 0.5 * (self.lo + self.hi + (self.hi - self.lo)
+                   * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE))
+        shift, r = _z_integrals(x, z_win, _Z_NODES, tau, mu, F_eval, G_eval,
+                                what)
+        coeffs = _cheb_matrix() @ (shift + np.log(r) + mu * x - const)
+        self.err = float(np.abs(coeffs[-3:]).max())
+        if self.err > _CHEB_TOL:
+            raise QuadratureError(f"{what}: Chebyshev tail {self.err:.2g} "
+                                  f"exceeds {_CHEB_TOL}")
+        self.coeffs = coeffs[:np.nonzero(np.abs(coeffs) > _CHOP)[0][-1] + 1]
+
+    def log_q(self, x):
+        """log q at x in the window, by Clenshaw's recurrence."""
+        t2 = 2.0 * (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
+        b1 = b2 = 0.0
+        for c in self.coeffs[:0:-1]:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return self.coeffs[0] + 0.5 * t2 * b1 - b2
+
+    def _integral(self, lo, hi, weight, what):
+        """int weight(x) q(x) dx over [lo, hi], per row if they are columns."""
+        return _doubling(
+            lambda xn, xw: (weight(xn) * np.exp(self.log_q(xn)) * xw).sum(-1),
+            lo, hi, _X_NODES, f"{what} integral (tau={self.tau}, mu={self.mu})")
+
+    def mass(self) -> float:
+        return self._integral(self.lo, self.hi, np.ones_like, "mass")
+
+    def mean(self) -> float:
+        return self._integral(self.lo, self.hi, np.exp, "mean")
+
+    def call(self, k):
+        return self._options(k, 1.0, "call")
+
+    def put(self, k):
+        return self._options(k, -1.0, "put")
+
+    def _options(self, k, side, what):
+        """Calls (side 1) or puts (side -1): a float, or an array of k's
+        shape.  The out-of-the-money side runs from log k to the far edge;
+        past the near edge it is the whole window."""
+        ks = np.asarray(k, dtype=float)
+        flat = ks.ravel()
+        if not (np.isfinite(flat).all() and (flat > 0).all()):
+            raise ValueError(f"{what} strikes must be positive and finite")
+        log_k = np.log(flat)
+        start = np.clip(log_k, self.lo, self.hi)
+        near, far = (self.lo, self.hi) if side > 0 else (self.hi, self.lo)
+        # log of the integrand's scale, e^x q for a call and q for a put:
+        # this window holds the option if it falls _OWN_EFOLDS by the edge
+        ends = np.append(start, far)
+        size = self.log_q(ends) + (ends if side > 0 else 0.0)
+        own = (start == near) | (size[:-1] - size[-1] >= _OWN_EFOLDS)
+        out = np.empty(flat.size)
+        if own.any():
+            lo, hi = np.sort([start[own], np.full(own.sum(), far)], axis=0)
+            kk = flat[own, None]
+            out[own] = self._integral(lo[:, None], hi[:, None],
+                                      lambda x: side * (np.exp(x) - kk), what)
+        clip = np.maximum if side > 0 else np.minimum
+        step = side * 0.25 * (self.hi - self.lo)
+        for i in np.nonzero(~own)[0]:       # a build of the option's tail
+            z_win = _z_window(self.tau, self.mu,
+                              lambda z: clip(log_k[i], -z), self.F_eval)
+            tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval, z_win,
+                            sorted((log_k[i], log_k[i] + step)),
+                            (side < 0, side > 0))
+            out[i] = tail._integral(tail.lo, tail.hi,
+                                    lambda x: side * (np.exp(x) - flat[i]), what)
+        return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
+
+
+def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
+    """The marginal density of log a at (tau, mu): its z rule on the
+    normalization's window, its x window scanned from that window's mirror
+    image, widened by half."""
+    _require_finite(tau=tau, mu=mu)
+    if tau <= 0:
+        raise ValueError("marginal needs tau > 0")
+    if F_eval is None or G_eval is None:
+        F_eval, G_eval = default_evaluators()
+    z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
+    mid, half = -0.5 * (z_lo + z_hi), 0.75 * (z_hi - z_lo)
+    return Marginal(tau, mu, F_eval, G_eval, (z_lo, z_hi),
+                    (mid - half, mid + half), (True, True))
 
 
 # -- public operations -----------------------------------------------------------
@@ -385,16 +477,14 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
 
 
 def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
-    """n(tau) through the plain 2-D density integral (cross-check route)."""
-    _require_finite(tau=tau, mu=mu)
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, 0.0, "one", F_eval, G_eval)
+    """n(tau) as the mass of the marginal density (cross-check route)."""
+    return marginal(tau, mu, F_eval, G_eval).mass()
 
 
 def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
                norm: Optional[float] = None) -> float:
-    """Normalized leading density f0(a, t) of the time average w.r.t. da/a."""
+    """Normalized leading density f0(a, t) of the time average w.r.t. da/a:
+    the marginal's z-integral at x = log a, on a z window of its own."""
     _require_finite(a=a, t=t, mu=mu)
     if a <= 0 or t <= 0:
         raise ValueError("f0_density needs a > 0 and t > 0")
@@ -403,29 +493,16 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     if norm is None:
         norm = norm_factor(t, mu, F_eval, G_eval)
     x = math.log(a)
-
-    def level(zn, zw):
-        rho = np.exp(zn)
-        Fv = np.asarray(F_eval(rho), dtype=float)
-        Gv = np.asarray(G_eval(rho), dtype=float)
-        bracket = Fv - PI2_HALF + rho * np.cosh(x + zn)
-        L = -bracket / t + mu * zn + np.log(Gv)
-        M = float(L.max())
-        return math.exp(M) * float(np.dot(np.exp(L - M), zw))
-
-    z_lo, z_hi = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
-    val = _doubling(level, z_lo, z_hi, 64,
-                    f"density integral (a={a}, t={t}, mu={mu})")
-    return (val * math.exp(mu * x - 0.5 * mu * mu * t)
-            / (2.0 * math.pi * t) / norm)
+    z_win = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
+    shift, r = _z_integrals(x, z_win, 64, t, mu, F_eval, G_eval,
+                            f"density integral (a={a}, t={t}, mu={mu})")
+    return (math.exp(shift) * r
+            * math.exp(mu * x - 0.5 * mu * mu * t) / (2.0 * math.pi * t) / norm)
 
 
 def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     """Unnormalized mean of the time average under the leading density."""
-    _require_finite(tau=tau, mu=mu)
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, 0.0, "mean", F_eval, G_eval)
+    return marginal(tau, mu, F_eval, G_eval).mean()
 
 
 def exact_mean(tau: float, mu: float) -> float:
@@ -434,26 +511,45 @@ def exact_mean(tau: float, mu: float) -> float:
     return math.expm1(c) / c if c != 0 else 1.0
 
 
+def _one_strike(k, tau, mu, F_eval, G_eval, what) -> Marginal:
+    _require_finite(k=k, tau=tau, mu=mu)
+    if k <= 0 or tau <= 0:
+        raise ValueError(f"{what} needs k > 0 and tau > 0")
+    return marginal(tau, mu, F_eval, G_eval)
+
+
 def price_call_reduced(k: float, tau: float, mu: float, F_eval=None,
                        G_eval=None) -> float:
     """Raw reduced Asian call c_A(k, tau) (benchmark-table convention)."""
-    _require_finite(k=k, tau=tau, mu=mu)
-    if k <= 0 or tau <= 0:
-        raise ValueError("price_call_reduced needs k > 0 and tau > 0")
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, k, "call", F_eval, G_eval)
+    return _one_strike(k, tau, mu, F_eval, G_eval, "price_call_reduced").call(k)
 
 
 def price_put_reduced(k: float, tau: float, mu: float, F_eval=None,
                       G_eval=None) -> float:
     """Raw reduced Asian put p_A(k, tau)."""
-    _require_finite(k=k, tau=tau, mu=mu)
-    if k <= 0 or tau <= 0:
-        raise ValueError("price_put_reduced needs k > 0 and tau > 0")
+    return _one_strike(k, tau, mu, F_eval, G_eval, "price_put_reduced").put(k)
+
+
+def _price_groups(scenarios, F_eval, G_eval, with_put, norm=None):
+    """PriceResults in order: per distinct (tau, mu), n(tau) (`norm` if
+    given), then one marginal that prices the group's strikes together."""
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
-    return _core_2d(tau, mu, k, "put", F_eval, G_eval)
+    groups = {}             # (tau, mu) -> [(position, scenario, k)]
+    for i, s in enumerate(scenarios):
+        rp = ReducedParams.from_scenario(s)
+        groups.setdefault((rp.tau, rp.mu), []).append((i, s, rp.k))
+    results = [None] * sum(map(len, groups.values()))
+    for (tau, mu), members in groups.items():
+        n = norm_factor(tau, mu, F_eval, G_eval) if norm is None else norm
+        m = marginal(tau, mu, F_eval, G_eval)
+        ks = np.array([k for _, _, k in members])
+        puts = m.put(ks).tolist() if with_put else [None] * len(ks)
+        for (i, s, _), c, p in zip(members, m.call(ks).tolist(), puts):
+            disc = math.exp(-s.r * s.T) * s.S0
+            results[i] = PriceResult(c, n, disc * c / n,
+                                     None if p is None else disc * p / n, p)
+    return results
 
 
 def price_scenario(s: Scenario, F_eval=None, G_eval=None,
@@ -462,35 +558,13 @@ def price_scenario(s: Scenario, F_eval=None, G_eval=None,
     """Full scenario pricing: reduced values, normalization, dollar price.
 
     `norm` is n(tau) at the scenario's (tau, mu) when the caller already
-    has it; otherwise it is computed here.
+    has it; otherwise it is computed here, before the marginal.
     """
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
-    rp = ReducedParams.from_scenario(s)
-    if norm is None:
-        norm = norm_factor(rp.tau, rp.mu, F_eval, G_eval)
-    c_raw = price_call_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval)
-    disc = math.exp(-s.r * s.T) * s.S0
-    put_price = p_raw = None
-    if with_put:
-        p_raw = price_put_reduced(rp.k, rp.tau, rp.mu, F_eval, G_eval)
-        put_price = disc * p_raw / norm
-    return PriceResult(c_reduced=c_raw, norm=norm, price=disc * c_raw / norm,
-                       put_price=put_price, p_reduced=p_raw)
+    return _price_groups([s], F_eval, G_eval, with_put, norm)[0]
 
 
 def price_scenarios(scenarios, F_eval=None, G_eval=None,
                     with_put: bool = False):
-    """Batch pricing, in order; n(tau) once per distinct (tau, mu)."""
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
-    norms = {}
-    results = []
-    for s in scenarios:
-        rp = ReducedParams.from_scenario(s)
-        key = (rp.tau, rp.mu)
-        if key not in norms:
-            norms[key] = norm_factor(rp.tau, rp.mu, F_eval, G_eval)
-        results.append(price_scenario(s, F_eval, G_eval, with_put,
-                                      norm=norms[key]))
-    return results
+    """Batch pricing, in order; n(tau) and the marginal once per distinct
+    (tau, mu)."""
+    return _price_groups(scenarios, F_eval, G_eval, with_put)

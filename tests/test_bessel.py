@@ -114,6 +114,14 @@ def test_large_order_without_overflow_warning():
     assert got == pytest.approx(float(want), rel=1e-13)
 
 
+@pytest.mark.parametrize("x", [1e9, 1e10, 1e12])
+@pytest.mark.parametrize("nu", [0.6, 3.0])
+def test_huge_argument_vs_mpmath(nu, x):
+    # the integrand's peak narrows like x^(-1/2); the window follows it
+    want = float(mpmath.besselk(nu, x) * mpmath.exp(x))
+    assert bessel_k_scaled(nu, x) == pytest.approx(want, rel=1e-14)
+
+
 def test_tiny_argument_is_computed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,12 +1,15 @@
-"""Every name a hwkit module, script or test imports is used in that file.
+"""Import hygiene: what `import hwkit` loads, and no unused imports.
 
-No linter ships with the test environment, so this walks the AST: a name
-bound by an import must appear as a Name somewhere in the same file.
-`__init__.py` re-exports the public API and is exempt, as is the
-acceptance suite, which stays as written.
+No linter ships with the test environment, so the unused-import check
+walks the AST: a name bound by an import must appear as a Name somewhere
+in the same file.  `__init__.py` re-exports the public API and is exempt,
+as is the acceptance suite, which stays as written.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,17 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS_AND_TESTS = sorted(
     p for p in [*ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
     if p.name != "test_acceptance.py")
+
+
+def test_import_loads_neither_scipy_nor_numpy_polynomial():
+    # both cost start-up time; hwkit imports them inside the functions
+    # that need them
+    code = ("import sys, hwkit; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_modules_found():

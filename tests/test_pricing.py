@@ -6,14 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwkit import pricing
 from hwkit.exact import JBS_exact
 from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
                            exact_mean, f0_density, joint_density_leading,
-                           norm_direct, norm_factor, price_call_reduced,
-                           price_put_reduced, price_scenario, price_scenarios,
-                           rate_I, rate_J, rate_J_with_argmin, reduced_mean)
+                           marginal, norm_direct, norm_factor,
+                           price_call_reduced, price_put_reduced,
+                           price_scenario, price_scenarios, rate_I, rate_J,
+                           rate_J_with_argmin, reduced_mean)
 from hwkit.quadrature import QuadratureError, gauss_legendre_nodes
 
 # printed benchmark rows: (mu, tau, c_A, n_tau, C_A)
@@ -256,10 +259,11 @@ def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
 
 
 def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
-    # one doubling driver: the 2-D core starts at 64 outer z nodes, each
-    # followed by an inner u rule of half that size; the 1-D integrals
-    # start at 64.  Call, put, norm and f0 converge at their second level;
-    # the bare density ("one") and the mean at this scenario at their third
+    # one doubling driver.  A marginal build takes its z rule at 128 nodes
+    # for the x-window scan, then 128 and 256 for its Chebyshev values;
+    # each option or moment integral over x then starts at 32.  The 1-D
+    # normalization and density integrals start at 64; all of these
+    # converge at their second level at this scenario
     F6, G6 = evals_pricing
     rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[4])
     sizes = []
@@ -275,10 +279,10 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
             "f0": lambda: f0_density(1.1, rp.tau, rp.mu, F6, G6, norm=1.0),
             "one": lambda: norm_direct(rp.tau, rp.mu, F6, G6),
             "mean": lambda: reduced_mean(rp.tau, rp.mu, F6, G6)}
-    expect = {"call": [64, 32, 128, 64], "put": [64, 32, 128, 64],
+    build = [128, 128, 256]
+    expect = {"call": build + [32, 64], "put": build + [32, 64],
               "norm": [64, 128], "f0": [64, 128],
-              "one": [64, 32, 128, 64, 256, 128],
-              "mean": [64, 32, 128, 64, 256, 128]}
+              "one": build + [32, 64], "mean": build + [32, 64]}
     for name, run in runs.items():
         sizes.clear()
         run()
@@ -305,8 +309,8 @@ def _nan_like(rho):
 
 
 def test_nan_density_fails_at_first_level(evals_pricing, monkeypatch):
-    # a G that returns NaN makes the first 64x32 level non-finite; the
-    # driver raises there instead of doubling to its cap
+    # a G that returns NaN makes the x-window scan, on the first 128-node
+    # z rule, non-finite; the build raises there instead of doubling
     F6 = evals_pricing[0]
     sizes = []
 
@@ -315,9 +319,9 @@ def test_nan_density_fails_at_first_level(evals_pricing, monkeypatch):
         return gauss_legendre_nodes(a, b, n)
 
     monkeypatch.setattr(pricing, "gauss_legendre_nodes", recording)
-    with pytest.raises(QuadratureError, match=r"non-finite value at 64 nodes"):
+    with pytest.raises(QuadratureError, match=r"non-finite value at 128 nodes"):
         price_call_reduced(1.0, 0.0625, -0.6, F6, _nan_like)
-    assert sizes == [64, 32]
+    assert sizes == [128]
 
 
 def test_nan_rate_function_raises_typed_error(evals_pricing):
@@ -334,14 +338,22 @@ def test_nan_rate_function_raises_typed_error(evals_pricing):
 
 
 def _oracle_2d(tau, mu, k, payoff, F_eval, G_eval, n=384):
-    """The 2-D core in its cosh-bracket, log-payoff form on one n x n rule,
-    over the windows the core itself uses."""
+    """The (z, u) density integral in its cosh-bracket, log-payoff form on
+    one n x n rule.  z runs over the z window of the payoff's u*, the u
+    minimizing the exponent on the payoff's support; u runs, per z node,
+    where cosh(u + z) stays within 80 tau e^{-z} of its value at u*,
+    clipped to the support."""
     log_k = math.log(k) if k > 0 else -math.inf
     ustar = {"call": lambda z: np.maximum(log_k, -z),
              "put": lambda z: np.minimum(log_k, -z)}.get(payoff, lambda z: -z)
     z_lo, z_hi = pricing._z_window(tau, mu, ustar, F_eval)
     zn, zw = gauss_legendre_nodes(z_lo, z_hi, n)
-    u_lo, u_hi = pricing._u_bounds(zn, tau, mu, payoff, k)
+    reach = np.arccosh(np.cosh(ustar(zn) + zn) + 80.0 * tau / np.exp(zn))
+    u_lo, u_hi = -zn - reach, -zn + reach
+    if payoff == "call":
+        u_lo = np.maximum(u_lo, log_k)
+    elif payoff == "put":
+        u_hi = np.minimum(u_hi, log_k)
     xi, wxi = gauss_legendre_nodes(0.0, 1.0, n)
     U = u_lo[:, None] + (u_hi - u_lo)[:, None] * xi[None, :]
     WU = (u_hi - u_lo)[:, None] * wxi[None, :]
@@ -360,6 +372,8 @@ def _oracle_2d(tau, mu, k, payoff, F_eval, G_eval, n=384):
 
 @pytest.mark.parametrize("scenario", [0, 2, 4])
 def test_core_matches_log_form_oracle(evals_pricing, scenario):
+    # the pricing core, the marginal density of log a, against the 2-D
+    # (z, u) integral of the joint density
     F6, G6 = evals_pricing
     rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[scenario])
     runs = [("mean", 0.0, reduced_mean(rp.tau, rp.mu, F6, G6)),
@@ -372,71 +386,93 @@ def test_core_matches_log_form_oracle(evals_pricing, scenario):
         assert abs(got / want - 1.0) < 1e-11, (payoff, k, got, want)
 
 
-def _u_bounds_two_loops(z, tau, mu, payoff, k):
-    """The u windows as solved before the sides were batched: one loop per
-    side, iterating on u itself."""
-    ez = np.exp(z)
-    log_k = math.log(k) if k > 0 else -math.inf
-    if payoff == "call":
-        ustar = np.maximum(log_k, -z)
-    elif payoff == "put":
-        ustar = np.minimum(log_k, -z)
-    else:
-        ustar = -z
-    m = np.cosh(ustar + z)
-    grow_r = max(mu + 1.0, 0.0) + (1.0 if payoff in ("call", "mean") else 0.0)
-    grow_l = max(-mu, 0.0)
-
-    def solve(side):
-        grow = grow_r if side > 0 else grow_l
-        u = ustar + side * 1.0
-        for _ in range(6):
-            need = tau * (56.0 + grow * np.abs(u - ustar)) / ez
-            u = -z + side * np.arccosh(m + need)
-        return u
-
-    u_hi = solve(+1.0)
-    u_lo = solve(-1.0)
-    u_lo = ustar + 1.25 * (u_lo - ustar)
-    u_hi = ustar + 1.25 * (u_hi - ustar)
-    if payoff == "call":
-        u_lo = np.maximum(u_lo, log_k)
-    elif payoff == "put":
-        u_hi = np.minimum(u_hi, log_k)
-        u_lo = np.minimum(u_lo, u_hi - 1e-12)
-    return u_lo, u_hi
-
-
-def test_u_bounds_match_two_loop_oracle(evals_pricing, monkeypatch):
-    # every z rule of every call, put, one and mean integral at the table3
-    # (tau, mu) (the strike ladder's are among them), with table3's
-    # strikes and the ladder's ends 1.6 and 2.4
+@pytest.mark.parametrize("tau, mu, k, payoff, outside", [
+    (0.0025, 3.0, 1.8, "call", True), (0.0025, 3.0, 0.55, "put", True),
+    (0.0025, -0.9, 2.5, "call", True), (0.0225, 3.0, 9.0, "call", True),
+    (0.125, -0.6, 0.06, "put", True), (0.0025, 3.0, 1.6, "call", False),
+    (0.0025, -0.9, 0.6, "put", False)])
+def test_strikes_near_or_past_the_window_edge_match_the_oracle(
+        evals_pricing, tau, mu, k, payoff, outside):
+    # the out-of-the-money side starts past the window's edge, or too
+    # close to it for the window to hold its integral: its own tail build
+    # prices it, tiny but not zero
     F6, G6 = evals_pricing
-    solve = pricing._u_bounds
-    checked = []
+    m = marginal(tau, mu, F6, G6)
+    assert (not m.lo <= math.log(k) <= m.hi) == outside
+    got = m.call(k) if payoff == "call" else m.put(k)
+    want = _oracle_2d(tau, mu, k, payoff, F6, G6)
+    assert 0.0 < want < 1e-9
+    assert abs(got / want - 1.0) < 1e-9, (got, want)
 
-    def compared(z, tau, mu, payoff, k):
-        got = solve(z, tau, mu, payoff, k)
-        want = _u_bounds_two_loops(z, tau, mu, payoff, k)
-        where = (tau, mu, payoff, k)
-        for g, w in zip(got, want):
-            assert np.allclose(g, w, rtol=0.0, atol=1e-13), where
-        checked.append(payoff)
-        return got
 
-    monkeypatch.setattr(pricing, "_u_bounds", compared)
-    params = {(rp.tau, rp.mu): set() for rp in
-              map(ReducedParams.from_scenario, TABLE3_SCENARIOS)}
-    for s in TABLE3_SCENARIOS:
-        rp = ReducedParams.from_scenario(s)
-        params[rp.tau, rp.mu].update((rp.k, 1.6 / s.S0, 2.4 / s.S0))
-    for (tau, mu), strikes in params.items():
-        for k in sorted(strikes):
-            price_call_reduced(k, tau, mu, F6, G6)
-            price_put_reduced(k, tau, mu, F6, G6)
-        norm_direct(tau, mu, F6, G6)
-        reduced_mean(tau, mu, F6, G6)
-    assert set(checked) == {"call", "put", "one", "mean"}
+def test_strike_values_do_not_depend_on_the_batch(evals_pricing):
+    # a shuffled batch, a partial one and single strikes give the same
+    # bits; the ladder's range plus two strikes past the window's edges
+    F6, G6 = evals_pricing
+    m = marginal(0.0025, 3.0, F6, G6)
+    ks = np.concatenate([np.linspace(0.8, 1.2, 15), [0.55, 1.8]])
+    perm = np.random.default_rng(5).permutation(len(ks))
+    for price in (m.call, m.put):
+        whole = price(ks)
+        assert np.array_equal(price(ks[perm]), whole[perm])
+        assert np.array_equal(price(ks[3:9]), whole[3:9])
+        assert [price(float(k)) for k in ks] == whole.tolist()
+    scenarios = [Scenario(2.0, 0.05, 0.50, 1.0, K) for K in (1.7, 2.0, 2.3)]
+    scenarios += [Scenario(2.0, 0.02, 0.10, 1.0, K) for K in (1.6, 2.0, 3.6)]
+    batch = price_scenarios(scenarios, F6, G6, with_put=True)
+    order = [4, 0, 5, 2, 3, 1]
+    shuffled = price_scenarios([scenarios[i] for i in order], F6, G6,
+                               with_put=True)
+    assert shuffled == [batch[i] for i in order]
+    assert price_scenarios(scenarios[3:5], F6, G6, with_put=True) == batch[3:5]
+
+
+def test_chebyshev_tail_over_its_bound_raises(evals_pricing, monkeypatch):
+    monkeypatch.setattr(pricing, "_CHEB_TOL", 1e-18)
+    with pytest.raises(QuadratureError, match="Chebyshev tail"):
+        marginal(0.0625, -0.6, *evals_pricing)
+
+
+def test_doubling_keeps_each_rows_first_converged_level():
+    # row 0 agrees from the second level, row 1 only from the fourth
+    sizes = []
+
+    def level(xn, xw):
+        sizes.append(xn.shape)
+        n = xn.shape[1]
+        return np.array([1.0, 1.0 + 1e3 * 2.0 ** (-n)]) + 1e-12 * n
+
+    got = pricing._doubling(level, np.zeros((2, 1)), np.ones((2, 1)), 16,
+                            "two rows")
+    assert sizes == [(2, 16), (2, 32), (2, 64), (2, 128)]
+    assert got[0] == 1.0 + 1e-12 * 32
+    assert got[1] == 1.0 + 1e3 * 2.0 ** -128 + 1e-12 * 128
+
+
+_STRIKES = 17
+
+
+@settings(deadline=None, max_examples=25)
+@given(tau=st.floats(0.0025, 0.125), mu=st.floats(-0.9, 3.0),
+       jitter=st.lists(st.floats(0.0, 1.0), min_size=_STRIKES,
+                       max_size=_STRIKES))
+def test_marginal_prices_are_consistent(evals_pricing, tau, mu, jitter):
+    # 17 strikes in [0.7, 1.4], one per equal cell, jittered inside its
+    # middle half so slope differences stay far above the value error
+    F6, G6 = evals_pricing
+    ks = 0.7 + (np.arange(_STRIKES) + 0.25 + 0.5 * np.array(jitter)) * (
+        0.7 / _STRIKES)
+    m = marginal(tau, mu, F6, G6)
+    c, p = m.call(ks), m.put(ks)
+    mass, mean = m.mass(), m.mean()
+    tol = 1e-9 * max(c.max(), p.max())
+    assert np.all(np.diff(c) <= tol) and np.all(np.diff(p) >= -tol)
+    for vals in (c, p):
+        slopes = np.diff(vals) / np.diff(ks)
+        assert np.all(np.diff(slopes) >= -1e-6)
+    assert np.all((0.0 <= c) & (c <= mean)) and np.all(p >= 0.0)
+    assert abs(mass / norm_factor(tau, mu, F6, G6) - 1.0) <= 1e-9
+    assert np.abs(c - p - (mean - ks * mass)).max() <= 1e-9 * mean
 
 
 def test_tiny_sigma_ends_in_typed_error_without_warning():

@@ -83,6 +83,39 @@ def test_converged_rows_leave_the_pass():
     assert sum(n for _, n in seen) == sum(sizes) + 5 * sum(sizes[:easy])
 
 
+def _full_rule(level):
+    """The whole tanh-sinh rule of one level, every node evaluated anew."""
+    h = 3.6 / 2 ** level
+    t = np.arange(-2 ** level, 2 ** level + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    x = np.tanh(u)
+    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    keep = 1.0 - np.abs(x) > 1e-17
+    return x[keep], w[keep]
+
+
+def test_nested_levels_evaluate_only_new_nodes():
+    # each level adds its odd-index nodes to half the previous sum: the
+    # elements evaluated are one full rule's, about half of what summing
+    # every level afresh takes, and the value is that sum's to 1e-15
+    def f(x):
+        return np.exp(-x * x) * np.cos(3.0 * x) + 1.0 / (1.5 + x)
+
+    sizes = []
+    val, _ = integrate(lambda x: (sizes.append(x.size), f(x))[1], -1.0, 1.0)
+    levels = range(2, 2 + len(sizes))
+    full = [_full_rule(level) for level in levels]
+    assert sum(sizes) == len(full[-1][0])
+    assert sum(sizes) <= 0.55 * sum(len(x) for x, _ in full)
+    prev = None
+    for x, w in full:
+        cur = float(f(x) @ w)
+        if prev is not None and abs(cur - prev) <= 1e-12 * abs(cur):
+            break
+        prev = cur
+    assert abs(val - cur) <= 1e-15 * abs(cur)
+
+
 def test_batched_raises_when_one_row_runs_out():
     # the constant rows agree early; the row with the jump never does
     jump = np.array([0.0, 1.0, 0.0])
