@@ -25,8 +25,9 @@ distinct (tau, mu) and prices that group's strikes together; nothing
 built for one (tau, mu) outlives the call.  Every integral runs through
 one Gauss-Legendre node-doubling driver (_doubling): n doubles from a
 fixed start at most 4 times until two levels agree to 1e-9 relative,
-else QuadratureError; a batch of values converges value by value, so a
-strike's price does not depend on its batch.
+else QuadratureError.  A batch of strikes converges value by value, so a
+strike's price does not depend on its batch; a marginal's z-integrals
+converge together, on one z rule.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -235,34 +236,30 @@ def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
 
 # -- the node-doubling driver and the marginal density of x = log a -----------
 
-def _doubling(level, lo, hi, n0, what: str):
+def _agree(cur, prev):
+    """Per value, whether two levels agree to _REL_TOL relative."""
+    return np.abs(cur - prev) <= _REL_TOL * np.maximum(np.abs(cur), 1e-300)
+
+
+def _doubling(level, lo, hi, n0, what: str, agree=_agree):
     """Gauss-Legendre node doubling on [lo, hi]: level(xn, xw) gives the
     value on one node set, a float or, when lo and hi are columns, one
     value per row.  From n0 nodes, n doubles up to _LEVELS times; each
-    value keeps its first level that agrees with the previous one to
-    _REL_TOL.  An open value that is not finite raises at once."""
+    value keeps its first level at which agree(values, previous values)
+    holds for it.  An open value that is not finite raises at once."""
     prev = out = done = None
     n = n0
     for _ in range(_LEVELS):
-        cur = level(*gauss_legendre_nodes(lo, hi, n))
-        if np.ndim(cur) == 0:           # one value: plain float arithmetic
-            cur = float(cur)
-            if not math.isfinite(cur):
-                raise QuadratureError(f"{what}: non-finite value at {n} nodes")
-            if prev is not None and abs(cur - prev) <= _REL_TOL * max(
-                    abs(cur), 1e-300):
-                return cur
-        else:
-            if done is None:
-                out, done = np.empty_like(cur), np.zeros(cur.shape, dtype=bool)
-            if not np.isfinite(cur[~done]).all():
-                raise QuadratureError(f"{what}: non-finite value at {n} nodes")
-            if prev is not None:
-                agree = ~done & (np.abs(cur - prev)
-                                 <= _REL_TOL * np.maximum(np.abs(cur), 1e-300))
-                out[agree], done = cur[agree], done | agree
-                if done.all():
-                    return out
+        cur = np.asarray(level(*gauss_legendre_nodes(lo, hi, n)), dtype=float)
+        if done is None:
+            out, done = np.empty_like(cur), np.zeros(cur.shape, dtype=bool)
+        if not np.isfinite(cur[~done]).all():
+            raise QuadratureError(f"{what}: non-finite value at {n} nodes")
+        if prev is not None:
+            new = ~done & agree(cur, prev)
+            out[new], done = cur[new], done | new
+            if done.all():
+                return out if out.ndim else float(out)
         prev, n = cur, 2 * n
     raise QuadratureError(f"{what} did not converge in {_LEVELS} levels "
                           f"({n // 2} nodes)")
@@ -275,6 +272,7 @@ _CHOP = 1e-13         # coefficients past the last one above this are dropped
 _EFOLDS = 40.0        # the x window holds q and e^x q to e^-40 of their peak
 _OWN_EFOLDS = 34.0    # e-folds an option integral needs inside the window
 _LOG_ZERO = -800.0    # q under e^-800 is 0 in double precision
+_DEEP = 20.0          # e-folds under the largest q where agreement turns absolute
 
 
 def _z_sums(x, zn, zw, tau, mu, F_eval, G_eval):
@@ -290,8 +288,13 @@ def _z_sums(x, zn, zw, tau, mu, F_eval, G_eval):
 
 
 def _z_integrals(x, z_win, n0, tau, mu, F_eval, G_eval, what):
-    """Per x, (shift, r) with e^shift r the z-integral of _z_sums, each r
-    converged by _doubling from n0 nodes."""
+    """Per x, (shift, r) with e^shift r the z-integral of _z_sums, all
+    from the first z rule of _doubling, from n0 nodes, on which every r
+    agrees with the previous rule's to _REL_TOL of itself or, if its q
+    is _DEEP e-folds under the largest, of e^-_DEEP that q.  There a
+    value weighs nothing in an integral of q, and a piecewise F or G that
+    jumps under it (the series/closed-form switch) may keep it moving;
+    one rule for all keeps log q smooth in x."""
     shift = None
 
     def level(zn, zw):
@@ -300,7 +303,12 @@ def _z_integrals(x, z_win, n0, tau, mu, F_eval, G_eval, what):
         shift = M if shift is None else shift
         return S * np.exp(M - shift)
 
-    r = _doubling(level, *z_win, n0, what)
+    def agree(r, prev):
+        log_q = shift + np.log(r) + mu * x
+        deep = np.exp(np.clip(log_q.max() - log_q - _DEEP, 0.0, 700.0))
+        return np.all(np.abs(r - prev) <= _REL_TOL * r * deep)
+
+    r = _doubling(level, *z_win, n0, what, agree)
     return shift, r
 
 
@@ -345,7 +353,8 @@ class Marginal:
 
     def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
         self.tau, self.mu, self.F_eval, self.G_eval = tau, mu, F_eval, G_eval
-        what = f"marginal of log a (tau={tau}, mu={mu}, x in {scan})"
+        what = (f"marginal of log a (tau={tau}, mu={mu}, x from "
+                f"{scan[0]:.6g} to {scan[1]:.6g})")
         const = mu * mu * tau / 2 + math.log(2.0 * math.pi * tau)
         zn, zw = gauss_legendre_nodes(*z_win, _Z_NODES)
 
@@ -396,20 +405,20 @@ class Marginal:
 
     def _options(self, k, side, what):
         """Calls (side 1) or puts (side -1): a float, or an array of k's
-        shape.  The out-of-the-money side runs from log k to the far edge;
-        past the near edge it is the whole window."""
-        ks = np.asarray(k, dtype=float)
-        flat = ks.ravel()
-        if not (np.isfinite(flat).all() and (flat > 0).all()):
-            raise ValueError(f"{what} strikes must be positive and finite")
+        shape.  The out-of-the-money side runs from log k, clipped to the
+        window, to its far edge."""
+        flat = _strikes(k, what)
         log_k = np.log(flat)
         start = np.clip(log_k, self.lo, self.hi)
-        near, far = (self.lo, self.hi) if side > 0 else (self.hi, self.lo)
-        # log of the integrand's scale, e^x q for a call and q for a put:
-        # this window holds the option if it falls _OWN_EFOLDS by the edge
-        ends = np.append(start, far)
-        size = self.log_q(ends) + (ends if side > 0 else 0.0)
-        own = (start == near) | (size[:-1] - size[-1] >= _OWN_EFOLDS)
+        far = self.hi if side > 0 else self.lo
+        # log of the integrand's scale, e^x q for a call and q for a put,
+        # unimodal: the window holds the option if it falls _OWN_EFOLDS
+        # from its top on [start, far] to the far edge, else a tail is built
+        x = np.append(np.linspace(self.lo, self.hi, 129), start)
+        size = self.log_q(x) + (x if side > 0 else 0.0)
+        peak = np.argmax(size[:129])
+        top = np.where(side * (start - x[peak]) <= 0, size[peak], size[129:])
+        own = top - size[128 if side > 0 else 0] >= _OWN_EFOLDS
         out = np.empty(flat.size)
         if own.any():
             lo, hi = np.sort([start[own], np.full(own.sum(), far)], axis=0)
@@ -418,7 +427,7 @@ class Marginal:
                                       lambda x: side * (np.exp(x) - kk), what)
         clip = np.maximum if side > 0 else np.minimum
         step = side * 0.25 * (self.hi - self.lo)
-        for i in np.nonzero(~own)[0]:       # a build of the option's tail
+        for i in np.nonzero(~own)[0]:
             z_win = _z_window(self.tau, self.mu,
                               lambda z: clip(log_k[i], -z), self.F_eval)
             tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval, z_win,
@@ -426,7 +435,17 @@ class Marginal:
                             (side < 0, side > 0))
             out[i] = tail._integral(tail.lo, tail.hi,
                                     lambda x: side * (np.exp(x) - flat[i]), what)
-        return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
+        return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
+
+
+def _strikes(k, what):
+    """k as a flat array of floats, every one positive and finite."""
+    flat = np.asarray(k, dtype=float).ravel()
+    bad = ~(np.isfinite(flat) & (flat > 0))
+    if bad.any():
+        raise ValueError(f"non-finite or non-positive {what} strike: "
+                         f"{flat[bad][0]}")
+    return flat
 
 
 def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
@@ -511,28 +530,30 @@ def exact_mean(tau: float, mu: float) -> float:
     return math.expm1(c) / c if c != 0 else 1.0
 
 
-def _one_strike(k, tau, mu, F_eval, G_eval, what) -> Marginal:
-    _require_finite(k=k, tau=tau, mu=mu)
-    if k <= 0 or tau <= 0:
-        raise ValueError(f"{what} needs k > 0 and tau > 0")
-    return marginal(tau, mu, F_eval, G_eval)
-
-
 def price_call_reduced(k: float, tau: float, mu: float, F_eval=None,
                        G_eval=None) -> float:
     """Raw reduced Asian call c_A(k, tau) (benchmark-table convention)."""
-    return _one_strike(k, tau, mu, F_eval, G_eval, "price_call_reduced").call(k)
+    _strikes(k, "call")
+    return marginal(tau, mu, F_eval, G_eval).call(k)
 
 
 def price_put_reduced(k: float, tau: float, mu: float, F_eval=None,
                       G_eval=None) -> float:
     """Raw reduced Asian put p_A(k, tau)."""
-    return _one_strike(k, tau, mu, F_eval, G_eval, "price_put_reduced").put(k)
+    _strikes(k, "put")
+    return marginal(tau, mu, F_eval, G_eval).put(k)
 
 
-def _price_groups(scenarios, F_eval, G_eval, with_put, norm=None):
-    """PriceResults in order: per distinct (tau, mu), n(tau) (`norm` if
-    given), then one marginal that prices the group's strikes together."""
+def price_scenario(s: Scenario, F_eval=None, G_eval=None,
+                   with_put: bool = False) -> PriceResult:
+    """Full scenario pricing: reduced values, normalization, dollar price."""
+    return price_scenarios([s], F_eval, G_eval, with_put)[0]
+
+
+def price_scenarios(scenarios, F_eval=None, G_eval=None,
+                    with_put: bool = False):
+    """Batch pricing, in order: per distinct (tau, mu), n(tau), then one
+    marginal that prices the group's strikes together."""
     if F_eval is None or G_eval is None:
         F_eval, G_eval = default_evaluators()
     groups = {}             # (tau, mu) -> [(position, scenario, k)]
@@ -541,7 +562,7 @@ def _price_groups(scenarios, F_eval, G_eval, with_put, norm=None):
         groups.setdefault((rp.tau, rp.mu), []).append((i, s, rp.k))
     results = [None] * sum(map(len, groups.values()))
     for (tau, mu), members in groups.items():
-        n = norm_factor(tau, mu, F_eval, G_eval) if norm is None else norm
+        n = norm_factor(tau, mu, F_eval, G_eval)
         m = marginal(tau, mu, F_eval, G_eval)
         ks = np.array([k for _, _, k in members])
         puts = m.put(ks).tolist() if with_put else [None] * len(ks)
@@ -550,21 +571,3 @@ def _price_groups(scenarios, F_eval, G_eval, with_put, norm=None):
             results[i] = PriceResult(c, n, disc * c / n,
                                      None if p is None else disc * p / n, p)
     return results
-
-
-def price_scenario(s: Scenario, F_eval=None, G_eval=None,
-                   with_put: bool = False,
-                   norm: Optional[float] = None) -> PriceResult:
-    """Full scenario pricing: reduced values, normalization, dollar price.
-
-    `norm` is n(tau) at the scenario's (tau, mu) when the caller already
-    has it; otherwise it is computed here, before the marginal.
-    """
-    return _price_groups([s], F_eval, G_eval, with_put, norm)[0]
-
-
-def price_scenarios(scenarios, F_eval=None, G_eval=None,
-                    with_put: bool = False):
-    """Batch pricing, in order; n(tau) and the marginal once per distinct
-    (tau, mu)."""
-    return _price_groups(scenarios, F_eval, G_eval, with_put)

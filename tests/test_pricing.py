@@ -390,12 +390,14 @@ def test_core_matches_log_form_oracle(evals_pricing, scenario):
     (0.0025, 3.0, 1.8, "call", True), (0.0025, 3.0, 0.55, "put", True),
     (0.0025, -0.9, 2.5, "call", True), (0.0225, 3.0, 9.0, "call", True),
     (0.125, -0.6, 0.06, "put", True), (0.0025, 3.0, 1.6, "call", False),
-    (0.0025, -0.9, 0.6, "put", False)])
+    (0.0025, -0.9, 0.6, "put", False), (0.125, 3.0, 45.0, "call", False),
+    (0.125, -0.6, 200.0, "call", True)])
 def test_strikes_near_or_past_the_window_edge_match_the_oracle(
         evals_pricing, tau, mu, k, payoff, outside):
     # the out-of-the-money side starts past the window's edge, or too
     # close to it for the window to hold its integral: its own tail build
-    # prices it, tiny but not zero
+    # prices it, tiny but not zero.  The last two tails reach z where the
+    # order-6 F and G switch from series to closed form and jump
     F6, G6 = evals_pricing
     m = marginal(tau, mu, F6, G6)
     assert (not m.lo <= math.log(k) <= m.hi) == outside
@@ -403,6 +405,27 @@ def test_strikes_near_or_past_the_window_edge_match_the_oracle(
     want = _oracle_2d(tau, mu, k, payoff, F6, G6)
     assert 0.0 < want < 1e-9
     assert abs(got / want - 1.0) < 1e-9, (got, want)
+
+
+def test_in_the_money_strikes_by_the_near_edge_build_no_tail(evals_pricing,
+                                                             monkeypatch):
+    # the window holds the whole integrand of a strike 1% inside its near
+    # edge, so the shared interpolant prices it
+    F6, G6 = evals_pricing
+
+    def no_tail(*args):
+        raise AssertionError("a tail was built")
+
+    for tau, mu in ((0.0025, 3.0), (0.125, -0.6)):
+        m = marginal(tau, mu, F6, G6)
+        monkeypatch.setattr(pricing, "Marginal", no_tail)
+        step = 0.01 * (m.hi - m.lo)
+        for payoff, k in (("call", math.exp(m.lo + step)),
+                          ("put", math.exp(m.hi - step))):
+            got = m.call(k) if payoff == "call" else m.put(k)
+            want = _oracle_2d(tau, mu, k, payoff, F6, G6)
+            assert abs(got / want - 1.0) < 1e-11, (tau, mu, payoff, got, want)
+        monkeypatch.undo()
 
 
 def test_strike_values_do_not_depend_on_the_batch(evals_pricing):
