@@ -23,19 +23,17 @@ output coefficient becomes a rational once.
   far as integers over one running denominator; each new term is one
   integer dot product and one rational, and the vector is rescaled only
   when a new term's denominator does not divide the running one.
-* series_compose (the hot path: order ~100 with thousand-digit
-  rationals): the inner series' powers are built by integer convolution
-  with a content-gcd reduction per step.  It takes one outer series or a
-  tuple of outers sharing an inner series, and builds each power once for
-  all of them; each outer sums f_k s^k as one integer vector over a
-  running denominator.  Powers are streamed, not stored, so memory stays
-  O(order * outers).  Newton reversion composes g-hat and g' with the
-  same iterate in one pass, and hwkit.tables builds the three tables
-  composed with h(e^y) in one pass.
+* series_compose: the inner series' powers are built by integer
+  convolution with a content-gcd reduction per step.  It takes one outer
+  series or a tuple of outers sharing an inner series, and builds each
+  power once for all of them; each outer sums f_k s^k as one integer
+  vector over a running denominator.  Powers are streamed, not stored, so
+  memory stays O(order * outers).  Newton reversion composes g-hat and g'
+  with the same iterate in one pass.  hwkit.tables uses neither.
 
-Coefficient growth is real: at order 100 the tables held here have
-numerators and denominators of several hundred digits, and intermediate
-convolutions a few thousand.  DEFAULT_MAX_ORDER caps requests at 128.
+Coefficient growth is real: at order 100 the tables have numerators and
+denominators of several hundred digits, and intermediate products a few
+thousand.  DEFAULT_MAX_ORDER caps requests at 128.
 """
 
 from __future__ import annotations
@@ -134,19 +132,23 @@ def _int_conv(a, b, n):
     return out
 
 
-def _append_scaled(nums, den, q):
-    """Append the rational q to the integer vector nums / den, in place.
+def _append_scaled(rows, den, qs):
+    """Append each rational qs[i] to the integer vector rows[i], in place.
 
-    Returns the new common denominator: when q's denominator does not
-    divide den, nums is rescaled once by lcm // den.
+    Every row is held over the one common denominator den.  Returns the
+    new one: when some q's denominator does not divide den, every row is
+    rescaled once by lcm // den.
     """
-    d = Integer(q.denominator)
-    if den % d:
-        lcm = _lcm(den, d)
+    lcm = den
+    for q in qs:
+        lcm = _lcm(lcm, q.denominator)
+    if lcm != den:
         up = lcm // den
-        nums[:] = [c * up for c in nums]
+        for nums in rows:
+            nums[:] = [c * up for c in nums]
         den = lcm
-    nums.append(Integer(q.numerator) * (den // d))
+    for nums, q in zip(rows, qs):
+        nums.append(Integer(q.numerator) * (den // q.denominator))
     return den
 
 
@@ -204,7 +206,7 @@ def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
         dot = sum(map(mul, tail[:k], reversed(N)))
         c = Rational(p * db * D - q * dot, q * D * B[0])
         out.append(c)
-        D = _append_scaled(N, D, c)
+        D = _append_scaled((N,), D, (c,))
     return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
 
 
@@ -310,7 +312,7 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
         D2 = D * D
         c = Rational((Integer(ak.numerator) * pd * D2 - qn * dot) * rd, qn * D2 * rn2)
         out.append(c)
-        D = _append_scaled(N, D, c)
+        D = _append_scaled((N,), D, (c,))
     return RationalSeries(tuple(out), pf)
 
 

@@ -1,25 +1,26 @@
 """Exact coefficient tables for the small-time gBM expansion functions.
 
-Everything here is driven by one entire function and its compositional
-inverse:
+Everything here is driven by g(z) = sinh(sqrt z)/sqrt z, its local
+inverse h with h(1) = 0, and Q(z) = sqrt(z) coth(sqrt z).  The three
+application functions are kernels of Q evaluated at h:
 
-    g(z) = sum_n z^n / (2n+1)!  =  sinh(sqrt z)/sqrt z
+    rate kernel        J(z) = z/2 - sqrt(z) tanh(sqrt z / 2) = z/2 - 2Q(z) + 2Q(z/4)
+    exponent kernel    F(z) = z/2 - Q(z) + pi^2/2
+    prefactor kernel   G(z) = sqrt(z) / sqrt(Q(z) - 1)
 
-g has nonzero derivative at 0, so it admits a local inverse h with
-h(1) = 0; reverting the series of g - 1 gives the Taylor table of h about
-1 ("omega variable"), and composing with e^y - 1 gives the table of
-h(e^y) ("log variable").  The three application functions are even-in-
-sqrt(z) combinations of hyperbolics, built as plain rational series and
-composed with h:
+No table reverts g or composes with h.  From 2z g' = g(Q - 1) and the
+Riccati equation 2zQ' = Q - Q^2 + z, U = Q(h) - 1 and V = Q(h/4) - 1
+satisfy, with theta = x d/dx,
 
-    rate kernel        J(z) = z/2 - sqrt(z) tanh(sqrt z / 2)
-    exponent kernel    F(z) = z/2 - sqrt(z)/tanh(sqrt z) + pi^2/2
-    prefactor kernel   G(z) = sqrt(z) / sqrt(sqrt(z)/tanh(sqrt z) - 1)
+    theta h * U = 2h,   theta U * U = h - U - U^2,   theta V * U = h/4 - V - V^2
 
-Q(z) = sqrt(z) coth(sqrt z) is obtained by dividing the cosh-in-sqrt(z)
-and sinh-in-sqrt(z) even series rather than via Bernoulli numbers; all
-three kernels are read off Q, the rate kernel through
-sqrt(z) tanh(sqrt z/2) = 2Q(z) - 2Q(z/4).
+and h_1 = 6, U_1 = 2, V_1 = 1/2.  theta is d/dy in y = log x and
+(1+w) d/dw in w = x - 1 ("omega variable").  Order by order this is a
+2x2 linear system for (h_n, U_n), then V_n (Brent & Kung, J. ACM 25
+(1978) section 5), solved by _riccati in O(n^2) integer products.  The
+tables are linear in h, U, V: J(h) = h/2 - 2U + 2V, F(h) = h/2 - U +
+(pi^2/2 - 1), and G(h) = sqrt(h/U) = sqrt(3) sqrt(theta h / 6), so G
+takes h in y one order higher.
 
 Variable conventions (this bites -- see coeffs_F below):
 
@@ -32,92 +33,78 @@ Variable conventions (this bites -- see coeffs_F below):
   diagnostics) come from flip_odd_signs().
 
 All results are cached at the largest order ever requested and sliced,
-which is sound because truncated-series operations never let higher-order
-input coefficients contaminate lower-order output ones.
+which is sound because coefficient n of a table depends only on
+coefficients up to n of h, U and V (n + 1 of h for G).
 """
 
 from __future__ import annotations
 
 import threading
-from math import factorial
+from operator import add, mul
 
-from .rational import rat, ZERO, ONE
-from .series import (DEFAULT_MAX_ORDER, OFFSET_PI2_HALF_MINUS_1, RationalSeries,
-                     SeriesError, revert_series, series_compose, series_div,
-                     series_shift_down, series_sqrt)
+from .rational import Integer, Rational
+from .series import (DEFAULT_MAX_ORDER, OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1,
+                     RationalSeries, SeriesError, _append_scaled, revert_series,
+                     series_compose, series_div, series_sqrt)
+
+# perfbench/tracing.py TARGETS wraps these four names on this module, so
+# they stay bound here; of them the build calls only series_sqrt.
+_TRACED = (series_compose, series_div, series_sqrt, revert_series)
 
 _cache: dict = {}
-_cache_lock = threading.RLock()  # _build recurses into _table for sub-tables
+_cache_lock = threading.Lock()
 
 
-def sinhc_series(order: int) -> RationalSeries:
-    """g(z) = sinh(sqrt z)/sqrt z = sum z^n/(2n+1)!."""
-    return RationalSeries(tuple(rat(1, factorial(2 * n + 1)) for n in range(order + 1)))
+def _theta(nums, n, shift):
+    """theta a at orders 1 .. n-1, as numerators, with the unknown a_n as 0."""
+    t = [(i + 1) * nums[i + 1] for i in range(1, n - 1)]
+    t.append(0)
+    if shift:
+        t = [c + i * a for i, (c, a) in enumerate(zip(t, nums[1:n]), 1)]
+    return t
 
 
-def cosh_sqrt_series(order: int) -> RationalSeries:
-    """cosh(sqrt z) = sum z^n/(2n)!."""
-    return RationalSeries(tuple(rat(1, factorial(2 * n)) for n in range(order + 1)))
+def _riccati(order: int, shift: int):
+    """Numerators of h, U and V to `order`, and their common denominator.
 
+    shift 0 solves in y = log x, shift 1 in w = x - 1.  The three series
+    so far are integers over one running denominator D.  At order n the
+    known part of each equation is one integer dot product of numerators:
 
-def expm1_series(order: int) -> RationalSeries:
-    return RationalSeries(tuple(rat(1, factorial(n)) if n else ZERO
-                                for n in range(order + 1)))
+        s1 = sum theta h_i U_{n-i},   s2 = sum (theta U_i + U_i) U_{n-i},
+        s3 = sum theta V_i U_{n-i} + V_i V_{n-i}      (0 < i < n, a_n as 0)
 
+    and the unknowns follow with one rational each:
 
-def rate_kernel_series(order: int) -> RationalSeries:
-    """z/2 - sqrt(z) tanh(sqrt z/2) as a plain series in z."""
-    return _rate_kernel(sqrt_coth_series(order))
-
-
-def sqrt_coth_series(order: int) -> RationalSeries:
-    """sqrt(z) coth(sqrt z) = cosh(sqrt z)/g(z) as a plain series in z."""
-    return series_div(cosh_sqrt_series(order), sinhc_series(order))
-
-
-def _exponent_kernel(q: RationalSeries) -> RationalSeries:
-    coeffs = [-c for c in q.coeffs]
-    coeffs[0] += 1
-    coeffs[1] += rat(1, 2)
-    return RationalSeries(tuple(coeffs), offset=OFFSET_PI2_HALF_MINUS_1)
-
-
-def _rate_kernel(q: RationalSeries) -> RationalSeries:
-    # sqrt(z) tanh(sqrt z/2) = 2Q(z) - 2Q(z/4), Q(z) = sqrt(z)coth(sqrt z)
-    coeffs = [2 * c / 4 ** n - 2 * c for n, c in enumerate(q.coeffs)]
-    coeffs[1] += rat(1, 2)
-    return RationalSeries(tuple(coeffs))
-
-
-def _prefactor_kernel(q: RationalSeries) -> RationalSeries:
-    order = q.order - 1
-    w = list(q.coeffs)
-    w[0] -= 1                                   # sqrt(z)coth(sqrt z) - 1
-    t = series_shift_down(RationalSeries(tuple(3 * c for c in w)))  # 3W/z
-    root = series_sqrt(t.truncate(order))
-    inv = series_div(RationalSeries((ONE,) + (ZERO,) * order), root)
-    return RationalSeries(inv.coeffs, prefactor_sq=3)
-
-
-def exponent_kernel_series(order: int) -> RationalSeries:
-    """z/2 - sqrt(z)/tanh(sqrt z) + pi^2/2, split as series + symbolic offset.
-
-    The returned rational part has zero constant term; the transcendental
-    constant pi^2/2 - 1 rides on the offset flag so downstream tables can
-    be compared exactly.
+        (2n-2) h_n + 6 U_n = -s1/D^2,   -h_n + (2n+3) U_n = -s2/D^2,
+        (2n+1) V_n = h_n/4 - U_n/2 - s3/D^2.
     """
-    return _exponent_kernel(sqrt_coth_series(order))
+    nums = ([Integer(0), Integer(12)], [Integer(0), Integer(4)],
+            [Integer(0), Integer(1)])          # h_1 = 6, U_1 = 2, V_1 = 1/2
+    den = Integer(2)
+    for n in range(2, order + 1):
+        nh, nu, nv = nums
+        ru = nu[n - 1:0:-1]
+        s1 = sum(map(mul, _theta(nh, n, shift), ru))
+        s2 = sum(map(mul, map(add, _theta(nu, n, shift), nu[1:n]), ru))
+        s3 = (sum(map(mul, _theta(nv, n, shift), ru))
+              + sum(map(mul, nv[1:n], nv[n - 1:0:-1])))
+        d = 2 * n * (2 * n + 1) * den * den
+        new = (Rational(6 * s2 - (2 * n + 3) * s1, d),
+               Rational(-s1 - (2 * n - 2) * s2, d),
+               Rational(2 * s2 - s1 - 8 * n * s3, 4 * d))
+        den = _append_scaled(nums, den, new)
+    return [vec[:order + 1] for vec in nums], den
 
 
-def prefactor_kernel_series(order: int) -> RationalSeries:
-    """sqrt(z)/sqrt(sqrt(z)coth(sqrt z) - 1) as sqrt(3) * rational series.
+def _series(nums, den, order, offset=OFFSET_NONE) -> RationalSeries:
+    return RationalSeries(tuple(Rational(c, den) for c in nums[:order + 1]),
+                          offset=offset)
 
-    Writing the argument as (z/3)*T(z) with T(0) = 1 splits off the surd:
-    the result is sqrt(3)/sqrt(T), held as a RationalSeries with
-    prefactor_sq = 3.  The quotient shifts a series down by one power of
-    z, so sqrt(z)coth(sqrt z) is built one order higher.
-    """
-    return _prefactor_kernel(sqrt_coth_series(order + 1))
+
+def _jbs(h, u, v, den, order) -> RationalSeries:
+    """The rate kernel h/2 - 2U + 2V, from numerators over den."""
+    return _series([a - 4 * (b - c) for a, b, c in zip(h, u, v)], 2 * den, order)
 
 
 def flip_odd_signs(a: RationalSeries) -> RationalSeries:
@@ -130,33 +117,30 @@ def flip_odd_signs(a: RationalSeries) -> RationalSeries:
 # -- cached master tables ------------------------------------------------------
 
 # The closed forms evaluate the kernels at h(1/rho); expanding in
-# y = log rho therefore composes with h(e^{-y}), i.e. with the odd-sign-
-# flipped log table.  "natural" tables keep +y as the argument of h; they
-# are what the coefficient asymptotics describe.  The three tables composed
-# with h(e^y) are built together: one composition pass over the powers of
-# h(e^y), and one sqrt(z)coth(sqrt z) for all three kernels.
-_H_LOG_GROUP = ("jbs_log", "F_natural", "G_natural")
+# y = log rho therefore gives the kernels at h(e^{-y}), i.e. the odd-sign-
+# flipped tables.  "natural" tables keep +y as the argument of h; they are
+# what the coefficient asymptotics describe.  One solve in each variable
+# builds every table of its group.
+
+def _log_tables(order: int) -> dict:
+    (h, u, v), den = _riccati(order + 1, 0)
+    theta_h = [(m + 1) * h[m + 1] for m in range(order + 1)]
+    f_nat = _series([a - 2 * b for a, b in zip(h, u)], 2 * den, order,
+                    offset=OFFSET_PI2_HALF_MINUS_1)
+    g_nat = series_sqrt(_series(theta_h, 2 * den, order), prefactor_sq=3)
+    return {"h_log": _series(h, den, order), "jbs_log": _jbs(h, u, v, den, order),
+            "F_natural": f_nat, "G_natural": g_nat,
+            "F": flip_odd_signs(f_nat), "G": flip_odd_signs(g_nat)}
 
 
-def _build_h_log_group(order: int) -> dict:
-    q = sqrt_coth_series(order + 1)
-    q_n = q.truncate(order)
-    kernels = (_rate_kernel(q_n), _exponent_kernel(q_n), _prefactor_kernel(q))
-    return dict(zip(_H_LOG_GROUP, series_compose(kernels, _table("h_log", order))))
+def _omega_tables(order: int) -> dict:
+    (h, u, v), den = _riccati(order, 1)
+    return {"h": _series(h, den, order), "jbs_omega": _jbs(h, u, v, den, order)}
 
 
-def _build(name: str, order: int) -> RationalSeries:
-    if name == "h":
-        return revert_series(sinhc_series(order))
-    if name == "h_log":
-        return series_compose(_table("h", order), expm1_series(order))
-    if name == "jbs_omega":
-        return series_compose(rate_kernel_series(order), _table("h", order))
-    if name == "F":
-        return flip_odd_signs(_table("F_natural", order))
-    if name == "G":
-        return flip_odd_signs(_table("G_natural", order))
-    raise KeyError(name)
+_BUILDERS = {**dict.fromkeys(("h_log", "jbs_log", "F_natural", "G_natural", "F", "G"),
+                             _log_tables),
+             **dict.fromkeys(("h", "jbs_omega"), _omega_tables)}
 
 
 def _table(name: str, order: int) -> RationalSeries:
@@ -168,13 +152,10 @@ def _table(name: str, order: int) -> RationalSeries:
     with _cache_lock:
         have = _cache.get(name)
         if have is None or have.order < order:
-            if name in _H_LOG_GROUP:
-                for member, table in _build_h_log_group(order).items():
-                    kept = _cache.get(member)
-                    if kept is None or kept.order < order:
-                        _cache[member] = table
-            else:
-                _cache[name] = _build(name, order)
+            for member, table in _BUILDERS[name](order).items():
+                kept = _cache.get(member)
+                if kept is None or kept.order < order:
+                    _cache[member] = table
             have = _cache[name]
     return have.truncate(order)
 

@@ -109,7 +109,7 @@ def test_div_zero_constant_term():
 
 def test_div_reproduces_sinhc_coefficients():
     # sinh(sqrt z)/sqrt z / 1 keeps the table 1, 1/6, 1/120
-    from hwkit.tables import sinhc_series
+    from series_oracles import sinhc_series
     g = series_div(sinhc_series(2), S(1, 0, 0))
     assert g.coeffs == (rat(1), rat(1, 6), rat(1, 120))
 
@@ -134,7 +134,7 @@ def test_kernels_refuse(call):
 def test_kernels_match_references_on_large_denominators():
     # sinhc and cosh(sqrt z) at order 30 carry denominators up to 61!, so
     # the running denominator of each recurrence is rescaled many times
-    from hwkit.tables import cosh_sqrt_series, sinhc_series
+    from series_oracles import cosh_sqrt_series, sinhc_series
     g, c = sinhc_series(30), cosh_sqrt_series(30)
     assert series_mul(g, c) == reference_mul(g, c)
     assert series_div(c, g) == reference_div(c, g)
@@ -161,7 +161,7 @@ def test_sqrt_with_declared_surd():
 
 
 def test_compose_identity_inner():
-    from hwkit.tables import expm1_series
+    from series_oracles import expm1_series
     e = S(1, 1, "1/2", "1/6")
     ident = S(0, 1, 0, 0)
     assert series_compose(e, ident).coeffs == e.coeffs

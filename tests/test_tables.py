@@ -8,9 +8,10 @@ from hwkit import tables
 from hwkit.rational import rat
 from hwkit.series import SeriesError, series_compose, series_mul, series_to_text
 from hwkit.tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
-                          exponent_kernel_series, expm1_series, flip_odd_signs,
-                          natural_table, prefactor_kernel_series,
-                          rate_kernel_series, sinhc_series)
+                          flip_odd_signs, natural_table)
+from series_oracles import (exponent_kernel_series, expm1_series,
+                            prefactor_kernel_series, rate_kernel_series,
+                            sinhc_series)
 
 # the standard printed tables these generators must reproduce exactly
 H_FIRST = ["0", "6", "-9/5", "144/175"]
@@ -33,9 +34,12 @@ ORDER100_DIGESTS = {
     "jbs_log": "1ad68bafaba5dde3895fabd9da368a6bbbf9cb6c3989209f47349be76bc34f01",
     "F": "9ed8722abca266154c60c7e7333619277fce0baf91957e70645b2c6231e653e8",
     "G": "1a1b5507b063acc29cd8a7fcbcfc1ac8b7380ed55397df4dfd1b172c5515c9bf",
+    "h_log": "0ed76ea24649c1bc41e8692f1ef8c2e2a89bc9750c8bb004c40ac327d4203ce9",
+    "jbs_omega": "dcfdd90b296c799803b1709cb0e7a4a490e446677231c24227a8e5b852183e0c",
 }
 TABLE_GETTERS = {"h": coeffs_h, "jbs_log": lambda n: coeffs_jbs(n, "log"),
-                 "F": coeffs_F, "G": coeffs_G}
+                 "F": coeffs_F, "G": coeffs_G, "h_log": coeffs_h_log,
+                 "jbs_omega": lambda n: coeffs_jbs(n, "omega")}
 
 
 def rlist(strings):
@@ -173,8 +177,8 @@ def cold_cache():
 
 def test_order100_tables_pinned_after_a_small_build(cold_cache):
     # order-6 tables first, so every order-100 table grows over a cached one
-    for name in ("G", "jbs_log", "F", "h"):
-        TABLE_GETTERS[name](6)
+    for get in TABLE_GETTERS.values():
+        get(6)
     for name, digest in ORDER100_DIGESTS.items():
         text = series_to_text(TABLE_GETTERS[name](100))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
@@ -196,9 +200,25 @@ def test_tables_independent_of_request_order(cold_cache, first):
 
 def test_group_build_keeps_higher_order_tables(cold_cache):
     high = coeffs_jbs(30, "log")
-    del tables._cache["F_natural"]   # leaves jbs_log cached at order 30
-    coeffs_F(12)                     # rebuilds the group at order 12
+    del tables._cache["F"]           # leaves jbs_log cached at order 30
+    coeffs_F(12)                     # rebuilds the log group at order 12
     assert tables._cache["jbs_log"].order == 30
-    assert tables._cache["F_natural"].order == 12
+    assert tables._cache["F"].order == 12
     assert coeffs_jbs(30, "log") == high
 
+
+@pytest.mark.parametrize("name", sorted(TABLE_GETTERS))
+def test_every_order_is_the_order100_table_sliced(cold_cache, name):
+    # the log solve runs one order higher for G, so an off-by-one in the
+    # orders solved or kept shows up as a mismatch here
+    get = TABLE_GETTERS[name]
+    orders = [n for n in (1, 2, 3, 24) if n >= (2 if "jbs" in name else 1)]
+    full = get(100)                  # large first: every later one is a slice
+    for n in orders[::-1]:
+        assert get(n) == full.truncate(n), n
+    for n in orders:                 # each one cold
+        tables._cache.clear()
+        assert get(n) == full.truncate(n), n
+    tables._cache.clear()
+    for n in orders + [100]:         # small first: each build grows the last
+        assert get(n) == full.truncate(n), n
