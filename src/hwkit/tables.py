@@ -65,7 +65,7 @@ def _theta(nums, n, shift):
 
 
 def _riccati(order: int, shift: int):
-    """Numerators of h, U and V to `order`, and their common denominator.
+    """Numerators of h, U and V to at least `order`, and their common denominator.
 
     shift 0 solves in y = log x, shift 1 in w = x - 1.  The three series
     so far are integers over one running denominator D.  At order n the
@@ -94,7 +94,7 @@ def _riccati(order: int, shift: int):
                Rational(-s1 - (2 * n - 2) * s2, d),
                Rational(2 * s2 - s1 - 8 * n * s3, 4 * d))
         den = _append_scaled(nums, den, new)
-    return [vec[:order + 1] for vec in nums], den
+    return nums, den
 
 
 def _series(nums, den, order, offset=OFFSET_NONE) -> RationalSeries:
