@@ -13,13 +13,23 @@ resulting asymptotic amplitudes, and emits the relative-error sequences
 eps_n = coeff_n / asymptotic_n - 1 used to study how fast the transfer
 laws kick in.
 
-C1 and C2 follow in closed form from the first two nonzero Taylor
-coefficients a2, a3 of g about z_1 (C1 = 1/sqrt(a2), C2 = -a3/(2 a2^2),
-by reverting the square-root-reduced expansion); those coefficients of
-the entire function g are plain convergent sums -- no numerical
-differentiation anywhere.  The test-suite checks both against a direct
-fit of h(omega) - z_1 - C1 sqrt(omega - omega_1) on a shrinking real
-grid.
+All branch-point data come in closed form from the critical-point table
+(eta_1, omega_1, rho_x, theta_x from exact.critical_points).  g(z) =
+sinh(sqrt z)/sqrt z solves 4 z g'' + 6 g' = g; at z_1 = -eta_1^2,
+g'(z_1) = 0 and g(z_1) = omega_1 = cos(eta_1) (as tan eta_1 = eta_1), so
+the Taylor data at z_1 are
+
+    g:            (omega_1, 0, omega_1/(8 z_1), -5 omega_1/(48 z_1^2))
+    cosh(sqrt z): (omega_1, omega_1/2, 0, omega_1/(48 z_1))
+
+(cosh sqrt z = g + 2 z g').  C1 = 1/sqrt(a2) and C2 = -a3/(2 a2^2) with
+a2, a3 the z_1^2 and z_1^3 coefficients of g, by reverting the
+square-root-reduced expansion; the kernel derivatives at z_1 come from
+the four-term quotients (cosh sqrt z - 1)/g and cosh sqrt z / g.  No
+numerical differentiation or high-precision arithmetic anywhere.  The
+test-suite checks C1 and C2 against a direct fit of h(omega) - z_1 -
+C1 sqrt(omega - omega_1) on a shrinking real grid, and the Taylor data
+against mpmath.
 
 Conventions (documented here once, used by diagnostic_epsilon):
 
@@ -34,16 +44,10 @@ Conventions (documented here once, used by diagnostic_epsilon):
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
-import mpmath as mp
-
-from . import tables
-
-_MP_DPS = 40
-_lock = threading.Lock()
-_cached: dict = {}
+from . import exact, tables
 
 
 @dataclass(frozen=True)
@@ -73,119 +77,74 @@ class AsymptoticConstants:
     d_G: float
 
 
-# -- high-precision building blocks --------------------------------------------
+# -- branch-point data in closed form ------------------------------------------
 
-def _entire_taylor_at(coeff_fn, z0, nmax: int, terms: int = 120):
-    """Taylor coefficients at z0 of an entire series sum coeff_fn(n) z^n.
-
-    tay[j] = sum_{n>=j} C(n,j) c_n z0^{n-j}; the factorially small input
-    coefficients make these sums converge long before `terms`.
-    """
-    tay = []
-    for j in range(nmax + 1):
-        s = mp.mpf(0)
-        binom = mp.mpf(1)  # C(j, j)
-        power = mp.mpf(1)  # z0^0
-        for n in range(j, terms):
-            s += binom * coeff_fn(n) * power
-            binom = binom * (n + 1) / (n + 1 - j)
-            power *= z0
-        tay.append(s)
-    return tay
-
-
-def _series_div_f(a, b, n):
+def _quotient(num, den):
+    """The first len(num) Taylor coefficients of num/den."""
     out = []
-    for k in range(n + 1):
-        acc = a[k] if k < len(a) else mp.mpf(0)
-        for i in range(1, k + 1):
-            if i < len(b):
-                acc -= b[i] * out[k - i]
-        out.append(acc / b[0])
+    for k, a in enumerate(num):
+        out.append((a - sum(den[i] * out[k - i] for i in range(1, k + 1)))
+                   / den[0])
     return out
 
 
-def _compute_all():
-    with mp.workdps(_MP_DPS):
-        eta1 = mp.findroot(lambda e: mp.sin(e) - e * mp.cos(e), mp.mpf("4.4934"))
-        omega1 = mp.sin(eta1) / eta1
-        z1 = -eta1 ** 2
-        rho_x = mp.hypot(mp.log(-omega1), mp.pi)
-        theta_x = mp.atan2(mp.pi, mp.log(-omega1))
+@lru_cache(maxsize=None)
+def _branch_point():
+    """(PuiseuxData, AsymptoticConstants, kernel derivatives, geometry)."""
+    table = exact.critical_points(1)
+    _, eta1, z1, omega1 = table.entries[0]
+    rho_x = table.rho_x
+    # Taylor data at z1 of g and of cosh sqrt z (see the module docstring)
+    g = (omega1, 0.0, omega1 / (8 * z1), -5 * omega1 / (48 * z1 * z1))
+    cosh = (omega1, omega1 / 2, 0.0, omega1 / (48 * z1))
 
-        fact = mp.factorial
-        g_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n + 1), z1, 3)
-        cosh_tay = _entire_taylor_at(lambda n: 1 / fact(2 * n), z1, 3)
+    # local reversion about z1: omega - omega_1 = a2 u^2 + a3 u^3 + ...,
+    # u = z - z1.  With s = u sqrt(a2 + a3 u + ...) = sqrt(a2) u +
+    # a3/(2 sqrt(a2)) u^2 + ..., reverting gives u = C1 s + C2 s^2 + ...
+    C1 = 1 / math.sqrt(g[2])
+    C2 = -g[3] / (2 * g[2] ** 2)
 
-        # local reversion about z1: omega - omega_1 = a2 u^2 + a3 u^3 + ...,
-        # u = z - z1.  With s = u sqrt(a2 + a3 u + ...) = sqrt(a2) u +
-        # a3/(2 sqrt(a2)) u^2 + ..., reverting gives u = C1 s + C2 s^2 + ...
-        a = g_tay
-        C1 = 1 / mp.sqrt(a[2])
-        C2 = -a[3] / (2 * a[2] ** 2)
+    # rate = z/2 - (cosh sqrt z - 1)/g and exponent = z/2 - cosh sqrt z / g
+    # (+ const): past the linear term their Taylor data are minus the
+    # quotients'
+    q_rate = _quotient((cosh[0] - 1,) + cosh[1:], g)
+    q_exp = _quotient(cosh, g)
+    J2, J3 = -2 * q_rate[2], -6 * q_rate[3]
+    F2, F3 = -2 * q_exp[2], -6 * q_exp[3]
 
-        # Taylor of the rate/exponent kernels at z1 via series quotients of
-        # entire pieces: rate = z/2 - (cosh sqrt z - 1)/g, exponent =
-        # z/2 - cosh sqrt z / g + 1 (+ symbolic offset).
-        coshm1_tay = list(cosh_tay)
-        coshm1_tay[0] -= 1
-        q_rate = _series_div_f(coshm1_tay, g_tay, 3)
-        q_exp = _series_div_f(cosh_tay, g_tay, 3)
-        rate_tay = [z1 / 2 - q_rate[0], mp.mpf("0.5") - q_rate[1],
-                    -q_rate[2], -q_rate[3]]
-        exp_tay = [z1 / 2 - q_exp[0] + 1, mp.mpf("0.5") - q_exp[1],
-                   -q_exp[2], -q_exp[3]]
-        J2, J3 = 2 * rate_tay[2], 6 * rate_tay[3]
-        F2, F3 = 2 * exp_tay[2], 6 * exp_tay[3]
+    C32_J = J3 * C1 ** 3 / 6 + J2 * C1 * C2
+    C32_F = F3 * C1 ** 3 / 6 + F2 * C1 * C2
 
-        C32_J = J3 * C1 ** 3 / 6 + J2 * C1 * C2
-        C32_F = F3 * C1 ** 3 / 6 + F2 * C1 * C2
-
-        c_inf = -C1 * mp.sqrt(1 - omega1) / (2 * mp.sqrt(mp.pi))
-        d_inf = -C1 * mp.sqrt((-omega1) * rho_x / mp.pi)
-        amp32 = mp.mpf(3) / 2 * mp.sqrt(((-omega1) * rho_x) ** 3 / mp.pi)
-        d_J = amp32 * C32_J
-        d_F = amp32 * C32_F
-        d_G = 2 / mp.gamma(mp.mpf(1) / 4) * mp.sqrt(2 * eta1 ** 2 / C1) \
-            * ((-omega1) * rho_x) ** (-mp.mpf(1) / 4)
-
-        pd = PuiseuxData(z1=float(z1), omega1=float(omega1), C1=float(C1),
-                         C2=float(C2), C32_J=float(C32_J), C32_F=float(C32_F))
-        ac = AsymptoticConstants(c_inf=float(c_inf), d_inf=float(d_inf),
-                                 d_J=float(d_J), d_F=float(d_F), d_G=float(d_G))
-        extras = {"eta1": float(eta1), "rho_x": float(rho_x),
-                  "theta_x": float(theta_x),
-                  "rate_dd": float(J2), "rate_ddd": float(J3),
-                  "exp_dd": float(F2), "exp_ddd": float(F3)}
-    return pd, ac, extras
-
-
-def _all():
-    with _lock:
-        if "pd" not in _cached:
-            _cached["pd"], _cached["ac"], _cached["extras"] = _compute_all()
-    return _cached["pd"], _cached["ac"], _cached["extras"]
+    w_rho = -omega1 * rho_x
+    amp32 = 1.5 * math.sqrt(w_rho ** 3 / math.pi)
+    pd = PuiseuxData(z1=z1, omega1=omega1, C1=C1, C2=C2,
+                     C32_J=C32_J, C32_F=C32_F)
+    ac = AsymptoticConstants(
+        c_inf=-C1 * math.sqrt(1 - omega1) / (2 * math.sqrt(math.pi)),
+        d_inf=-C1 * math.sqrt(w_rho / math.pi),
+        d_J=amp32 * C32_J, d_F=amp32 * C32_F,
+        d_G=2 / math.gamma(0.25) * math.sqrt(2 * eta1 ** 2 / C1)
+        * w_rho ** -0.25)
+    kd = {"rate_dd": J2, "rate_ddd": J3, "exp_dd": F2, "exp_ddd": F3}
+    return pd, ac, kd, (omega1, rho_x, table.theta_x)
 
 
 def puiseux_data() -> PuiseuxData:
-    return _all()[0]
+    return _branch_point()[0]
 
 
 def asymptotic_constants() -> AsymptoticConstants:
-    return _all()[1]
+    return _branch_point()[1]
 
 
 def kernel_derivatives_at_z1() -> dict:
     """Second/third derivatives of the rate and exponent kernels at z_1."""
-    ex = _all()[2]
-    return {"rate_dd": ex["rate_dd"], "rate_ddd": ex["rate_ddd"],
-            "exp_dd": ex["exp_dd"], "exp_ddd": ex["exp_ddd"]}
+    return dict(_branch_point()[2])
 
 
 def _geom() -> tuple:
-    ex = _all()[2]
-    pd = _all()[0]
-    return pd.omega1, ex["rho_x"], ex["theta_x"]
+    """(omega_1, rho_x, theta_x)."""
+    return _branch_point()[3]
 
 
 # -- leading-order asymptotic coefficient values --------------------------------

@@ -7,8 +7,15 @@ slices (density), the Hartman-Watson integral (theta) and benchmark
 pricing (price).  Output is deterministic: fixed significant-digit
 formatting, '.' decimal separator, no locale use.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 file/parse errors,
-4 numeric failures (non-convergence, refused domains).
+Exit codes:
+  0 success;
+  2 usage errors and refused inputs: argparse's own, and every ValueError
+    other than a JSON parse error (EvaluatorError for a domain outside the
+    convergence disk, SeriesError, non-finite or non-positive inputs);
+  3 file and parse errors (missing file, bad JSON, missing scenario key);
+  4 numeric failures, every RuntimeError: QuadratureError and
+    RootSolveError (non-convergence), ThetaSmallTimeError (theta's
+    quadrature refuses t < 0.1).
 """
 
 from __future__ import annotations

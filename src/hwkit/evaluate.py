@@ -115,19 +115,27 @@ def truncation_error_profile(target: str, orders, rho_grid, domain=None):
     """max |series_N - exact| per truncation order N over a rho grid.
 
     The grid must lie inside the series window so the series path is the
-    one being profiled.  Returns (per_order, per_point) where per_order
-    maps N -> max abs error and per_point maps N -> list of (rho, err).
+    one being profiled; a point outside it raises EvaluatorError.  The
+    default window spans the grid, clipped to DEFAULT_DOMAIN.  Returns
+    (per_order, per_point) where per_order maps N -> max abs error and
+    per_point maps N -> list of (rho, err).
     """
     rho_grid = [float(r) for r in rho_grid]
     if domain is None:
         lo = min(rho_grid) * 0.999
         hi = max(rho_grid) * 1.001
         domain = (max(lo, DEFAULT_DOMAIN[0]), min(hi, DEFAULT_DOMAIN[1]))
+    evaluators = {n: make_evaluator(target, n, domain) for n in orders}
+    log_lo, log_hi = math.log(domain[0]), math.log(domain[1])
+    for r, y in zip(rho_grid, np.log(rho_grid)):
+        if not log_lo <= y <= log_hi:
+            raise EvaluatorError(
+                f"grid point rho = {r!r} lies outside the series window "
+                f"[{domain[0]!r}, {domain[1]!r}]")
     ref = closed_form(target)
     exact_vals = [ref(r) for r in rho_grid]
     per_order, per_point = {}, {}
-    for n in orders:
-        ev = make_evaluator(target, n, domain)
+    for n, ev in evaluators.items():
         errs = [(r, abs(ev(r) - x)) for r, x in zip(rho_grid, exact_vals)]
         per_point[n] = errs
         per_order[n] = max(e for _, e in errs)

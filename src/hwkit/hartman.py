@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 
 from . import exact
@@ -67,6 +66,8 @@ def theta_hw(r: float, t: float) -> float:
         raise ThetaSmallTimeError(
             f"direct quadrature of theta_r(t) is unreliable for t < "
             f"{SMALL_T_THRESHOLD}; use theta_asympt(rho=r*t, t) instead")
+    import mpmath as mp  # costs start-up time; only this function needs it
+
     dps = _dps_for(t)
     with mp.workdps(dps):
         tt = mp.mpf(t)

@@ -70,8 +70,3 @@ def rational_sqrt(q) -> Rational | None:
     if rn * rn == n and rd * rd == d:
         return Rational(rn, rd)
     return None
-
-
-def as_float(q) -> float:
-    """Correctly rounded float of a rational (may overflow for huge values)."""
-    return float(q)

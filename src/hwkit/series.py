@@ -24,12 +24,10 @@ output coefficient becomes a rational once.
   integer dot product and one rational, and the vector is rescaled only
   when a new term's denominator does not divide the running one.
 * series_compose: the inner series' powers are built by integer
-  convolution with a content-gcd reduction per step.  It takes one outer
-  series or a tuple of outers sharing an inner series, and builds each
-  power once for all of them; each outer sums f_k s^k as one integer
-  vector over a running denominator.  Powers are streamed, not stored, so
-  memory stays O(order * outers).  Newton reversion composes g-hat and g'
-  with the same iterate in one pass.  hwkit.tables uses neither.
+  convolution with a content-gcd reduction per step, and the outer sums
+  f_k s^k as one integer vector over a running denominator.  Powers are
+  streamed, not stored, so memory stays O(order).  Newton reversion is
+  its one user in the package; hwkit.tables uses neither.
 
 Coefficient growth is real: at order 100 the tables have numerators and
 denominators of several hundred digits, and intermediate products a few
@@ -217,62 +215,42 @@ def series_diff(a: RationalSeries) -> RationalSeries:
                           a.prefactor_sq)
 
 
-def series_shift_down(a: RationalSeries, k: int = 1) -> RationalSeries:
-    """Divide by x^k; the dropped low coefficients must vanish."""
-    if any(c != 0 for c in a.coeffs[:k]):
-        raise SeriesError("series is not divisible by x^k")
-    return RationalSeries(a.coeffs[k:], a.prefactor_sq, a.offset)
-
-
-def series_compose(f, s: RationalSeries):
+def series_compose(f: RationalSeries, s: RationalSeries) -> RationalSeries:
     """f(s(x)), truncated to min(f.order, s.order).  Requires s(0) = 0.
 
-    ``f`` is one outer series or a tuple of them; a tuple gives the tuple
-    of compositions, each truncated as if composed alone, from a single
-    pass over the powers of s.  Each power is built by fraction-free
-    integer convolution (single running denominator, content-reduced per
-    step) and used once by every outer before the next replaces it.  Each
-    outer accumulates sum_k f_k s^k as one integer vector over its own
+    Each power of s is built by fraction-free integer convolution (single
+    running denominator, content-reduced per step) and used once before
+    the next replaces it.  The sum f_k s^k is one integer vector over a
     running denominator (one lcm per term) and becomes rational only at
-    the end.  The offset and surd prefactor of each outer pass through.
+    the end.  The offset and surd prefactor of f pass through.
     """
     if s.coeffs[0] != 0:
         raise SeriesError("inner series must have zero constant term")
     if s.prefactor_sq != 1 or s.offset:
         raise SeriesError("inner series must be plain (no surd, no offset)")
-    outers = (f,) if isinstance(f, RationalSeries) else tuple(f)
-    if not outers:
-        raise SeriesError("need at least one outer series")
-    orders = [min(g.order, s.order) for g in outers]
-    n = max(orders)
+    n = min(f.order, s.order)
     S, ds = _to_scaled(s.coeffs[: n + 1])
-    # outer i: sum_k f_k s^k == nums[i] / dens[i], the k = 0 term to start
-    nums = [[Integer(g.coeffs[0].numerator)] + [Integer(0)] * m
-            for g, m in zip(outers, orders)]
-    dens = [Integer(g.coeffs[0].denominator) for g in outers]
+    # sum_k f_k s^k == acc / den, the k = 0 term to start
+    acc = [Integer(f.coeffs[0].numerator)] + [Integer(0)] * n
+    den = Integer(f.coeffs[0].denominator)
     P, dp = S, ds
     for k in range(1, n + 1):
-        for i, (g, m) in enumerate(zip(outers, orders)):
-            fk = g.coeffs[k] if k <= m else ZERO
-            if not fk:
-                continue
-            den = Integer(fk.denominator) * dp
-            lcm = _lcm(dens[i], den)
-            acc = nums[i]
-            if lcm != dens[i]:
-                up = lcm // dens[i]
+        fk = f.coeffs[k]
+        if fk:
+            dk = Integer(fk.denominator) * dp
+            lcm = _lcm(den, dk)
+            if lcm != den:
+                up = lcm // den
                 acc = [c * up for c in acc]
-            mult = Integer(fk.numerator) * (lcm // den)
-            for j in range(k, m + 1):  # s^k has no terms below x^k
+            mult = Integer(fk.numerator) * (lcm // dk)
+            for j in range(k, n + 1):  # s^k has no terms below x^k
                 if P[j]:
                     acc[j] += mult * P[j]
-            nums[i], dens[i] = acc, lcm
+            den = lcm
         if k < n:
             P, dp = _content_reduce(_int_conv(P, S, n), dp * ds)
-    out = tuple(RationalSeries(tuple(Rational(c, d) for c in acc),
-                               g.prefactor_sq, g.offset)
-                for g, acc, d in zip(outers, nums, dens))
-    return out[0] if isinstance(f, RationalSeries) else out
+    return RationalSeries(tuple(Rational(c, den) for c in acc),
+                          f.prefactor_sq, f.offset)
 
 
 def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
@@ -321,8 +299,8 @@ def revert_series(g: RationalSeries) -> RationalSeries:
 
     Given g with nonzero linear coefficient, returns h with
     g(h(w)) == g(0) + w to the common truncation order.  The iteration
-    doubles the attained order each step, so the cost is dominated by one
-    composition at full order; classical Lagrange inversion is kept in the
+    doubles the attained order each step, so the cost is dominated by the
+    two compositions (g-hat and g') at full order; classical Lagrange inversion is kept in the
     test-suite as an independent oracle at small orders.
     """
     if g.prefactor_sq != 1 or g.offset:
@@ -337,7 +315,8 @@ def revert_series(g: RationalSeries) -> RationalSeries:
     while order < n:
         order = min(2 * order, n)
         ho = h.truncate(order)
-        gh, gph = series_compose((ghat.truncate(order), gprime.truncate(order)), ho)
+        gh = series_compose(ghat.truncate(order), ho)
+        gph = series_compose(gprime.truncate(order), ho)
         resid = list(gh.coeffs)
         resid[1] -= ONE  # g(h(w)) - w
         corr = series_div(RationalSeries(tuple(resid)), gph)

@@ -16,8 +16,8 @@ coefficient by coefficient.
 from math import factorial
 
 from hwkit.rational import ONE, ZERO, rat
-from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, series_div,
-                          series_shift_down, series_sqrt)
+from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
+                          series_div, series_sqrt)
 
 
 def sinhc_series(order: int) -> RationalSeries:
@@ -38,6 +38,13 @@ def expm1_series(order: int) -> RationalSeries:
 def sqrt_coth_series(order: int) -> RationalSeries:
     """sqrt(z) coth(sqrt z) = cosh(sqrt z)/g(z) as a plain series in z."""
     return series_div(cosh_sqrt_series(order), sinhc_series(order))
+
+
+def series_shift_down(a: RationalSeries, k: int = 1) -> RationalSeries:
+    """Divide by x^k; the dropped low coefficients must vanish."""
+    if any(c != 0 for c in a.coeffs[:k]):
+        raise SeriesError("series is not divisible by x^k")
+    return RationalSeries(a.coeffs[k:], a.prefactor_sq, a.offset)
 
 
 def _exponent_kernel(q: RationalSeries) -> RationalSeries:

@@ -3,6 +3,7 @@
 import math
 import statistics
 
+import mpmath
 import pytest
 
 from hwkit.asympt import (asympt_c, asympt_cJ, asympt_dG, asymptotic_constants,
@@ -120,6 +121,35 @@ def test_kernel_derivative_identity():
     kd = kernel_derivatives_at_z1()
     # the kernels differ by -1/g whose curvature at z1 is nonzero
     assert abs(kd["rate_dd"] - kd["exp_dd"]) > 1e-3
+
+
+def test_closed_forms_against_mpmath_taylor():
+    # 30-digit Taylor data at z1 of g = sinh(sqrt z)/sqrt z, of cosh sqrt z
+    # and of the two kernels, by mpmath's numerical differentiation: an
+    # independent check of the closed forms derived from g's ODE
+    with mpmath.workdps(30):
+        eta1 = mpmath.findroot(lambda e: mpmath.tan(e) - e, 4.4934)
+        z1 = -eta1 ** 2
+
+        def g(z):
+            return mpmath.re(mpmath.sinh(mpmath.sqrt(z)) / mpmath.sqrt(z))
+
+        def cosh(z):
+            return mpmath.re(mpmath.cosh(mpmath.sqrt(z)))
+
+        a = mpmath.taylor(g, z1, 3)
+        c = mpmath.taylor(cosh, z1, 3)
+        rate = mpmath.taylor(lambda z: z / 2 - (cosh(z) - 1) / g(z), z1, 3)
+        expo = mpmath.taylor(lambda z: z / 2 - cosh(z) / g(z), z1, 3)
+        assert abs(a[1]) < 1e-25 and abs(c[2]) < 1e-25
+        want = {"C1": 1 / mpmath.sqrt(a[2]), "C2": -a[3] / (2 * a[2] ** 2),
+                "rate_dd": 2 * rate[2], "rate_ddd": 6 * rate[3],
+                "exp_dd": 2 * expo[2], "exp_ddd": 6 * expo[3]}
+    pd = puiseux_data()
+    got = dict(kernel_derivatives_at_z1(), C1=pd.C1, C2=pd.C2)
+    assert pd.z1 == pytest.approx(float(z1), rel=1e-14)
+    for name, value in want.items():
+        assert got[name] == pytest.approx(float(value), rel=1e-13), name
 
 
 def test_asympt_c_ratio_limit():

@@ -98,6 +98,13 @@ def test_theta_refusal_maps_to_numeric_exit(capsys):
     assert "theta_asympt" in err
 
 
+def test_domain_outside_the_disk_maps_to_usage_exit(capsys):
+    # EvaluatorError is a ValueError: a refused domain is a usage error
+    code, _, err = run_cli(capsys, "eval", "F", "1", "--domain", "0.001", "100")
+    assert code == EXIT_USAGE
+    assert "convergence disk" in err
+
+
 def test_density_grid(capsys):
     code, out, _ = run_cli(capsys, "density", "--t", "0.01", "--mu", "0.0",
                            "--a", "0.9", "1.0", "1.1")

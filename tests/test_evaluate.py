@@ -166,6 +166,18 @@ def test_truncation_error_zero_at_expansion_point():
     assert all(err < 5e-16 for err in per_order.values())
 
 
+@pytest.mark.parametrize("grid, domain, first_outside", [
+    ([0.005, 0.01, 0.02, 0.05, 0.1], None, "0.005"),   # clipped default window
+    ([0.5, 1.0, 2.0, 3.0], (0.4, 2.5), "3.0"),
+])
+def test_truncation_profile_refuses_points_outside_the_window(grid, domain,
+                                                               first_outside):
+    # outside the window the evaluator is the closed form itself, so the
+    # profile would report a spurious zero error there
+    with pytest.raises(EvaluatorError, match=f"rho = {first_outside} lies outside"):
+        truncation_error_profile("F", [6], grid, domain=domain)
+
+
 def test_order6_accuracy_on_pricing_band(evals_pricing):
     # the benchmark configuration is comfortably pointwise-accurate where
     # the pricing integrands carry their mass

@@ -22,11 +22,12 @@ SCRIPTS_AND_TESTS = sorted(
     if p.name != "test_acceptance.py")
 
 
-def test_import_loads_neither_scipy_nor_numpy_polynomial():
-    # both cost start-up time; hwkit imports them inside the functions
-    # that need them
+def test_import_loads_no_scipy_numpy_polynomial_or_mpmath():
+    # all three cost start-up time; hwkit imports them inside the
+    # functions that need them
     code = ("import sys, hwkit; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+            "if m.split('.')[0] in ('scipy', 'mpmath') "
+            "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -175,7 +175,7 @@ def test_compose_requires_zero_constant():
         series_compose(S(1, 1), S(1, 1))
 
 
-@pytest.mark.parametrize("outer", [S(1, 1), (S(1, 1), S(0, 2, 3))])
+@pytest.mark.parametrize("outer", [S(1, 1), S(0, 2, 3)])
 @pytest.mark.parametrize("inner", [S(1, 1), S(0, 1, prefactor_sq=3),
                                    S(0, 1, offset=OFFSET_PI2_HALF_MINUS_1)])
 def test_compose_refuses_inner(outer, inner):
@@ -283,6 +283,20 @@ def test_newton_reversion_matches_lagrange(g):
     assert revert_series(g) == lagrange_revert(g)
 
 
+@settings(deadline=None)
+@given(series_strategy(max_order=7), st.sampled_from([1, 3, "5/2"]), st.booleans(),
+       series_strategy(max_order=7, zero_const=True))
+def test_compose_passes_outer_surd_and_offset(f, surd, offset, s):
+    # a dressed outer composes like its plain rational part, truncated to
+    # min(f.order, s.order), and keeps its surd and offset
+    dressed = RationalSeries(f.coeffs, rat(surd),
+                             OFFSET_PI2_HALF_MINUS_1 if offset else "")
+    out = series_compose(dressed, s)
+    assert out.order == min(f.order, s.order)
+    assert out.coeffs == series_compose(f, s).coeffs
+    assert (out.prefactor_sq, out.offset) == (dressed.prefactor_sq, dressed.offset)
+
+
 @given(series_strategy(max_order=4), series_strategy(max_order=4, zero_const=True),
        series_strategy(max_order=4, zero_const=True))
 def test_compose_associates(f, s, t):
@@ -291,29 +305,6 @@ def test_compose_associates(f, s, t):
     left = series_compose(series_compose(f, s), t)
     right = series_compose(f, series_compose(s, t))
     assert left == right
-
-
-def _dressed(a, surd, offset):
-    """a with an optional surd prefactor and an optional symbolic offset."""
-    return RationalSeries(a.coeffs, rat(surd),
-                          OFFSET_PI2_HALF_MINUS_1 if offset else "")
-
-
-outer_strategy = st.builds(_dressed, series_strategy(max_order=7),
-                           st.sampled_from([1, 3, "5/2"]), st.booleans())
-
-
-@settings(deadline=None)
-@given(st.lists(outer_strategy, min_size=1, max_size=4),
-       series_strategy(max_order=7, zero_const=True))
-def test_tuple_compose_equals_per_outer(outers, s):
-    # each result is truncated to min(its outer's order, s.order), exactly
-    # as a composition of that outer alone
-    together = series_compose(tuple(outers), s)
-    assert isinstance(together, tuple)
-    assert together == tuple(series_compose(f, s) for f in outers)
-    for f, out in zip(outers, together):
-        assert out.order == min(f.order, s.order)
 
 
 surds = st.sampled_from([1, 3, "5/2", "1/7"])
