@@ -43,15 +43,16 @@ import numpy as np
 from .quadrature import QuadratureError, integrate
 
 _U_MAX = 700.0      # cosh(u) and the integrand stay finite below it
+_DECADES = 42.0     # decay of the integrand, in decades, at the cutoff
 
 
-def _cutoff(nu: float, x: np.ndarray, decades: float = 42.0) -> np.ndarray:
-    """Per x, a u beyond which x(cosh u - 1) - |nu| u exceeds `decades`
+def _cutoff(nu: float, x: np.ndarray) -> np.ndarray:
+    """Per x, a u beyond which x(cosh u - 1) - |nu| u exceeds _DECADES
     in e-folds: u grows by 1.5x, capped at _U_MAX, until it does.  It
     starts at max(asinh(1/x), min(1, sqrt(2 target / x))), where
     x u^2 / 2 reaches the target, so the window tracks the peak's width
     x^(-1/2) at large x."""
-    target = decades * math.log(10.0)
+    target = _DECADES * math.log(10.0)
     xs = np.maximum(x, 1e-300)
     u = np.minimum(np.maximum(np.arcsinh(1.0 / xs),
                               np.minimum(1.0, np.sqrt(2.0 * target / xs))),

@@ -47,6 +47,9 @@ on first use and held through a weak reference, so an evaluator's entry
 goes when the evaluator does (a callable that cannot be hashed or weakly
 referenced is probed afresh on each call).  The cache assumes F_eval is
 a pure function of rho.
+
+An F_eval or G_eval left as None is built at PRICING_ORDER on
+DEFAULT_DOMAIN; an evaluator the caller passes is always the one used.
 """
 
 from __future__ import annotations
@@ -143,6 +146,15 @@ SPECTRAL_BENCHMARKS = (0.055986, 0.218387, 0.172269, 0.193174, 0.246416,
 
 def default_evaluators(order: int = PRICING_ORDER, domain=DEFAULT_DOMAIN):
     return make_evaluator("F", order, domain), make_evaluator("G", order, domain)
+
+
+def _evaluators(F_eval, G_eval):
+    """(F_eval, G_eval), each missing one replaced by its default."""
+    if F_eval is None:
+        F_eval = make_evaluator("F", PRICING_ORDER, DEFAULT_DOMAIN)
+    if G_eval is None:
+        G_eval = make_evaluator("G", PRICING_ORDER, DEFAULT_DOMAIN)
+    return F_eval, G_eval
 
 
 # -- rate functions -------------------------------------------------------------
@@ -455,8 +467,7 @@ def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
     _require_finite(tau=tau, mu=mu)
     if tau <= 0:
         raise ValueError("marginal needs tau > 0")
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
+    F_eval, G_eval = _evaluators(F_eval, G_eval)
     z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
     mid, half = -0.5 * (z_lo + z_hi), 0.75 * (z_hi - z_lo)
     return Marginal(tau, mu, F_eval, G_eval, (z_lo, z_hi),
@@ -478,8 +489,7 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     _require_finite(tau=tau, mu=mu)
     if tau <= 0:
         raise ValueError("norm_factor needs tau > 0")
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
+    F_eval, G_eval = _evaluators(F_eval, G_eval)
 
     def level(zn, zw):
         rho = np.exp(zn)
@@ -507,8 +517,7 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     _require_finite(a=a, t=t, mu=mu)
     if a <= 0 or t <= 0:
         raise ValueError("f0_density needs a > 0 and t > 0")
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
+    F_eval, G_eval = _evaluators(F_eval, G_eval)
     if norm is None:
         norm = norm_factor(t, mu, F_eval, G_eval)
     x = math.log(a)
@@ -554,8 +563,7 @@ def price_scenarios(scenarios, F_eval=None, G_eval=None,
                     with_put: bool = False):
     """Batch pricing, in order: per distinct (tau, mu), n(tau), then one
     marginal that prices the group's strikes together."""
-    if F_eval is None or G_eval is None:
-        F_eval, G_eval = default_evaluators()
+    F_eval, G_eval = _evaluators(F_eval, G_eval)
     groups = {}             # (tau, mu) -> [(position, scenario, k)]
     for i, s in enumerate(scenarios):
         rp = ReducedParams.from_scenario(s)

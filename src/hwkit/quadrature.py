@@ -29,7 +29,8 @@ class QuadratureError(RuntimeError):
     pass
 
 
-_LEVELS = 12          # tanh-sinh levels: the step halves up to 3.6/2^12
+_T_MAX = 3.6          # tanh-sinh nodes run over t in [-_T_MAX, _T_MAX]
+_LEVELS = 12          # tanh-sinh levels: the step halves up to _T_MAX/2^12
 _REL_TOL = 1e-12      # agreement between two levels that ends an interval
 
 
@@ -46,14 +47,14 @@ def gauss_legendre_nodes(a: float, b: float, n: int):
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_nodes(level: int, t_max: float = 3.6):
-    """Nodes/weights of the DE rule on (-1, 1) at step h = t_max/2^level.
+def _tanh_sinh_nodes(level: int):
+    """Nodes/weights of the DE rule on (-1, 1) at step h = _T_MAX/2^level.
 
     Level 2 gives its whole rule.  A higher level gives only the nodes
     with an odd t index: the even ones are the previous level's, whose
     sum that level's value already holds.
     """
-    h = t_max / 2 ** level
+    h = _T_MAX / 2 ** level
     j = np.arange(-2 ** level, 2 ** level + 1)
     if level > 2:
         j = j[j % 2 == 1]

@@ -12,11 +12,12 @@ keep everything exact:
   expansion point), again kept out of the rational coefficient table.
 
 Every operation below is exact: no floating point enters this module.
-The four kernels that do real work (product, division, square root,
-composition) do no per-term rational arithmetic; they run on one
-fraction-free integer core: a rational vector is scaled to integers over a
-single common denominator, the work is integer products and sums, and each
-output coefficient becomes a rational once.
+Coefficients are fractions.Fraction over Python int.  The four kernels
+that do real work (product, division, square root, composition) do no
+per-term rational arithmetic; they run on one fraction-free integer core:
+a rational vector is scaled to ints over a single common denominator
+(math.lcm), the work is int products and sums, and each output
+coefficient becomes a Fraction once.
 
 * series_mul: both operands scaled, one integer convolution.
 * series_div, series_sqrt: triangular recurrences that hold the output so
@@ -36,10 +37,12 @@ thousand.  DEFAULT_MAX_ORDER caps requests at 128.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 
-from .rational import Rational, rat, ZERO, ONE, rational_sqrt, _gcd, _lcm, Integer
+from .rational import rat, ZERO, ONE, rational_sqrt
 
 DEFAULT_MAX_ORDER = 128
 
@@ -57,7 +60,7 @@ class RationalSeries:
     """Truncated series sqrt(prefactor_sq) * sum_n coeffs[n] x^n (+ offset)."""
 
     coeffs: tuple
-    prefactor_sq: Rational = field(default_factory=lambda: ONE)
+    prefactor_sq: Fraction = field(default_factory=lambda: ONE)
     offset: str = OFFSET_NONE
 
     def __post_init__(self):
@@ -74,7 +77,7 @@ class RationalSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Rational:
+    def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "RationalSeries":
@@ -102,24 +105,24 @@ def _common_order(a: RationalSeries, b: RationalSeries) -> int:
 
 def _to_scaled(coeffs):
     """(integer coefficient list, common denominator) for a rational list."""
-    den = Integer(1)
+    den = 1
     for c in coeffs:
-        den = _lcm(den, c.denominator)
-    return [Integer(c.numerator) * (den // c.denominator) for c in coeffs], den
+        den = math.lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _content_reduce(nums, den):
     g = den
     for c in nums:
         if c:
-            g = _gcd(g, c)
+            g = math.gcd(g, c)
             if g == 1:
                 return nums, den
     return [c // g for c in nums], den // g
 
 
 def _int_conv(a, b, n):
-    out = [Integer(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i in range(n + 1):
         ai = a[i]
         if ai:
@@ -139,14 +142,14 @@ def _append_scaled(rows, den, qs):
     """
     lcm = den
     for q in qs:
-        lcm = _lcm(lcm, q.denominator)
+        lcm = math.lcm(lcm, q.denominator)
     if lcm != den:
         up = lcm // den
         for nums in rows:
             nums[:] = [c * up for c in nums]
         den = lcm
     for nums, q in zip(rows, qs):
-        nums.append(Integer(q.numerator) * (den // q.denominator))
+        nums.append(q.numerator * (den // q.denominator))
     return den
 
 
@@ -177,7 +180,7 @@ def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
     A, da = _to_scaled(a.coeffs[: n + 1])
     B, db = _to_scaled(b.coeffs[: n + 1])
     den = da * db
-    return RationalSeries(tuple(Rational(c, den) for c in _int_conv(A, B, n)),
+    return RationalSeries(tuple(Fraction(c, den) for c in _int_conv(A, B, n)),
                           a.prefactor_sq * b.prefactor_sq)
 
 
@@ -197,12 +200,12 @@ def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
     B, db = _to_scaled(b.coeffs[: n + 1])
     tail = B[1:]
     out = []
-    N, D = [], Integer(1)
+    N, D = [], 1
     for k in range(n + 1):
         ak = a.coeffs[k]
-        p, q = Integer(ak.numerator), Integer(ak.denominator)
+        p, q = ak.numerator, ak.denominator
         dot = sum(map(mul, tail[:k], reversed(N)))
-        c = Rational(p * db * D - q * dot, q * D * B[0])
+        c = Fraction(p * db * D - q * dot, q * D * B[0])
         out.append(c)
         D = _append_scaled((N,), D, (c,))
     return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
@@ -231,25 +234,25 @@ def series_compose(f: RationalSeries, s: RationalSeries) -> RationalSeries:
     n = min(f.order, s.order)
     S, ds = _to_scaled(s.coeffs[: n + 1])
     # sum_k f_k s^k == acc / den, the k = 0 term to start
-    acc = [Integer(f.coeffs[0].numerator)] + [Integer(0)] * n
-    den = Integer(f.coeffs[0].denominator)
+    acc = [f.coeffs[0].numerator] + [0] * n
+    den = f.coeffs[0].denominator
     P, dp = S, ds
     for k in range(1, n + 1):
         fk = f.coeffs[k]
         if fk:
-            dk = Integer(fk.denominator) * dp
-            lcm = _lcm(den, dk)
+            dk = fk.denominator * dp
+            lcm = math.lcm(den, dk)
             if lcm != den:
                 up = lcm // den
                 acc = [c * up for c in acc]
-            mult = Integer(fk.numerator) * (lcm // dk)
+            mult = fk.numerator * (lcm // dk)
             for j in range(k, n + 1):  # s^k has no terms below x^k
                 if P[j]:
                     acc[j] += mult * P[j]
             den = lcm
         if k < n:
             P, dp = _content_reduce(_int_conv(P, S, n), dp * ds)
-    return RationalSeries(tuple(Rational(c, den) for c in acc),
+    return RationalSeries(tuple(Fraction(c, den) for c in acc),
                           f.prefactor_sq, f.offset)
 
 
@@ -275,10 +278,10 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
     if r0 is None or r0 == 0:
         raise SeriesError(
             f"constant term {a.coeffs[0]} is not a rational square times {pf}")
-    pn, pd = Integer(pf.numerator), Integer(pf.denominator)
-    rn2, rd = 2 * Integer(r0.numerator), Integer(r0.denominator)
+    pn, pd = pf.numerator, pf.denominator
+    rn2, rd = 2 * r0.numerator, r0.denominator
     out = [r0]
-    N, D = [Integer(r0.numerator)], Integer(r0.denominator)
+    N, D = [r0.numerator], r0.denominator
     for k in range(1, a.order + 1):
         ak = a.coeffs[k]
         half = N[1:(k + 1) // 2]
@@ -286,9 +289,9 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
         if k % 2 == 0:
             dot += N[k // 2] * N[k // 2]
         # r_k = (a_k/pf - dot/D^2) / (2 r0)
-        qn = Integer(ak.denominator) * pn
+        qn = ak.denominator * pn
         D2 = D * D
-        c = Rational((Integer(ak.numerator) * pd * D2 - qn * dot) * rd, qn * D2 * rn2)
+        c = Fraction((ak.numerator * pd * D2 - qn * dot) * rd, qn * D2 * rn2)
         out.append(c)
         D = _append_scaled((N,), D, (c,))
     return RationalSeries(tuple(out), pf)

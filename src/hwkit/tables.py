@@ -40,9 +40,9 @@ coefficients up to n of h, U and V (n + 1 of h for G).
 from __future__ import annotations
 
 import threading
+from fractions import Fraction
 from operator import add, mul
 
-from .rational import Integer, Rational
 from .series import (DEFAULT_MAX_ORDER, OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1,
                      RationalSeries, SeriesError, _append_scaled, revert_series,
                      series_compose, series_div, series_sqrt)
@@ -79,9 +79,8 @@ def _riccati(order: int, shift: int):
         (2n-2) h_n + 6 U_n = -s1/D^2,   -h_n + (2n+3) U_n = -s2/D^2,
         (2n+1) V_n = h_n/4 - U_n/2 - s3/D^2.
     """
-    nums = ([Integer(0), Integer(12)], [Integer(0), Integer(4)],
-            [Integer(0), Integer(1)])          # h_1 = 6, U_1 = 2, V_1 = 1/2
-    den = Integer(2)
+    nums = [0, 12], [0, 4], [0, 1]          # h_1 = 6, U_1 = 2, V_1 = 1/2
+    den = 2
     for n in range(2, order + 1):
         nh, nu, nv = nums
         ru = nu[n - 1:0:-1]
@@ -90,15 +89,15 @@ def _riccati(order: int, shift: int):
         s3 = (sum(map(mul, _theta(nv, n, shift), ru))
               + sum(map(mul, nv[1:n], nv[n - 1:0:-1])))
         d = 2 * n * (2 * n + 1) * den * den
-        new = (Rational(6 * s2 - (2 * n + 3) * s1, d),
-               Rational(-s1 - (2 * n - 2) * s2, d),
-               Rational(2 * s2 - s1 - 8 * n * s3, 4 * d))
+        new = (Fraction(6 * s2 - (2 * n + 3) * s1, d),
+               Fraction(-s1 - (2 * n - 2) * s2, d),
+               Fraction(2 * s2 - s1 - 8 * n * s3, 4 * d))
         den = _append_scaled(nums, den, new)
     return nums, den
 
 
 def _series(nums, den, order, offset=OFFSET_NONE) -> RationalSeries:
-    return RationalSeries(tuple(Rational(c, den) for c in nums[:order + 1]),
+    return RationalSeries(tuple(Fraction(c, den) for c in nums[:order + 1]),
                           offset=offset)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwkit import pricing
+from hwkit.evaluate import make_evaluator
 from hwkit.exact import JBS_exact
 from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
                            exact_mean, f0_density, joint_density_leading,
@@ -226,7 +227,6 @@ def test_order_insensitivity_of_prices(evals_pricing):
     # adding series terms beyond the benchmark order moves prices by at
     # most ~1.5e-6 (largest-tau scenario), invisible at the tabulated
     # 6-decimal granularity
-    from hwkit.evaluate import make_evaluator
     F12, G12 = make_evaluator("F", 12), make_evaluator("G", 12)
     F6, G6 = evals_pricing
     for s in (TABLE3_SCENARIOS[0], TABLE3_SCENARIOS[6]):
@@ -256,6 +256,40 @@ def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
     assert len(norm_args) == len(set(norm_args)) == 5
     for res, row in zip(batch[:6], TABLE3_ROWS):
         assert res.price == pytest.approx(row[4], abs=2e-4)
+
+
+_ONE_EVALUATOR_RUNS = {
+    "norm_factor": lambda **ev: norm_factor(0.125, -0.6, **ev),
+    "marginal": lambda **ev: marginal(0.125, -0.6, **ev).call(1.0),
+    "f0_density": lambda **ev: f0_density(1.1, 0.125, -0.6, **ev, norm=1.0),
+    "price_scenarios": lambda **ev: price_scenarios([TABLE3_SCENARIOS[6]],
+                                                    **ev),
+}
+
+
+@pytest.mark.parametrize("missing", ["F_eval", "G_eval"])
+@pytest.mark.parametrize("entry", sorted(_ONE_EVALUATOR_RUNS))
+def test_a_given_evaluator_is_kept(entry, missing, evals40, evals_pricing,
+                                   monkeypatch):
+    # only the missing evaluator takes its default (order 6); the one the
+    # caller passes is used, and only the missing default is built
+    F40, G40 = evals40
+    F6, G6 = evals_pricing
+    run = _ONE_EVALUATOR_RUNS[entry]
+    given = {"G_eval": G40} if missing == "F_eval" else {"F_eval": F40}
+    full = {"F_eval": F6, "G_eval": G40} if missing == "F_eval" else {
+        "F_eval": F40, "G_eval": G6}
+    expected = run(**full)
+    assert expected != run(F_eval=F6, G_eval=G6)
+    built = []
+
+    def counting_make_evaluator(target, *args, **kwargs):
+        built.append(target)
+        return make_evaluator(target, *args, **kwargs)
+
+    monkeypatch.setattr(pricing, "make_evaluator", counting_make_evaluator)
+    assert run(**given) == expected
+    assert built == [missing[0]]
 
 
 def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):

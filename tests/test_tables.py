@@ -1,6 +1,7 @@
 """Exact-rational checks of the coefficient tables (no float comparisons)."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_G_table_exact():
     ser = coeffs_G(10)
     assert ser.prefactor_sq == rat(3)
     assert ser.coeffs == rlist(G_TABLE)
+
+
+def test_tables_are_fraction_over_int():
+    # one exact backend: every coefficient is exactly a Fraction, and the
+    # Riccati solver's numerators and denominator are exactly int
+    for ser in (coeffs_F(20), coeffs_G(20), coeffs_jbs(20, "omega")):
+        assert {type(c) for c in ser.coeffs} == {Fraction}
+        assert type(ser.prefactor_sq) is Fraction
+    nums, den = tables._riccati(20, 0)
+    assert {type(c) for row in nums for c in row} == {int}
+    assert type(den) is int
 
 
 def test_G_squared_matches_its_definition():
