@@ -22,7 +22,7 @@ from .asympt import (AsymptoticConstants, PuiseuxData, asympt_c, asympt_cJ,
 from .evaluate import (PiecewiseEvaluator, make_evaluator,
                        truncation_error_profile)
 from .quadrature import QuadratureError, integrate
-from .bessel import bessel_k, bessel_k_log, bessel_k_scaled
+from .bessel import bessel_k_scaled
 from .hartman import (ThetaSmallTimeError, theta_asympt, theta_hw,
                       theta_hw_stability)
 from .pricing import (PriceResult, ReducedParams, Scenario, SPECTRAL_BENCHMARKS,

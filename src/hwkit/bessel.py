@@ -2,9 +2,9 @@
 
     K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du          (x > 0)
 
-The normalization integrals of the pricing module need K_{-mu}(rho/tau)
-at arguments up to ~1e4, far past the underflow point of the plain
-function, so the working form is the exponentially scaled
+The reference normalization integral pricing.norm_factor needs
+K_{-mu}(rho/tau) at arguments up to ~1e4, far past the underflow point
+of the plain function, so the working form is the exponentially scaled
 
     K~_nu(x) = e^x K_nu(x) = int_0^inf exp(-x (cosh u - 1)) cosh(nu u) du,
 
@@ -20,13 +20,13 @@ x (about 4e-16 relative at nu = 999.5, x = 4e4, against 2e-12).  The
 symmetry K_nu = K_{-nu} is automatic (only |nu| enters).
 
 bessel_k_scaled works elementwise over an array x: all its integrals run
-through one batched tanh-sinh call, which is how pricing.norm_factor
-evaluates K_{-mu} on every node of a level at once.  Each integral takes
+through one batched tanh-sinh call, which is how norm_factor evaluates
+K_{-mu} on every node of a level at once.  Each integral takes
 quadrature.integrate's fixed policy: 1e-12 relative agreement within 12
 levels.  scipy.special.kve would give the same values, but importing
 scipy.special costs about 20 MB of resident memory and 0.2 s at
-start-up, more than this whole layer costs a pricing run, so it is not
-used.
+start-up, more than this whole layer costs a norm_factor call, so it is
+not used.
 
 Inputs are refused with ValueError, before any integral runs, when nu or
 any x is not finite or any x is not positive.  A result that would
@@ -108,22 +108,3 @@ def bessel_k_scaled(nu: float, x):
 
     val, _ = integrate(integrand, 0.0, u_max)
     return float(val[0]) if xs.ndim == 0 else val.reshape(xs.shape)
-
-
-def bessel_k_log(nu: float, x: float) -> float:
-    """log K_nu(x), safe for arbitrarily large x."""
-    return -x + math.log(bessel_k_scaled(nu, x))
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """K_nu(x); evaluated through the log domain above x = 700.
-
-    Below the underflow threshold of double precision (~745) the log
-    route still returns the correctly rounded subnormal/underflowed
-    value; callers needing the magnitude beyond that use bessel_k_log.
-    """
-    nu, x = _checked(nu, x)
-    x = float(x)
-    if x > 700.0:
-        return math.exp(max(bessel_k_log(nu, x), -745.0))
-    return math.exp(-x) * bessel_k_scaled(nu, x)

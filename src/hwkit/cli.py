@@ -139,10 +139,10 @@ def cmd_asympt(args) -> int:
 
 
 def cmd_density(args) -> int:
-    from .pricing import default_evaluators, f0_density, norm_factor
+    from .pricing import default_evaluators, f0_density, norm_direct
 
     F_eval, G_eval = default_evaluators(args.order)
-    norm = norm_factor(args.t, args.mu, F_eval, G_eval)
+    norm = norm_direct(args.t, args.mu, F_eval, G_eval)
     if args.a:
         grid = args.a
     else:

@@ -20,14 +20,14 @@ Prices come from the marginal density q(x) of x = log a (marginal): its
 log is a Chebyshev interpolant built from 65 z-integrals on one shared z
 rule, and every call, put, the mass n(tau) (norm_direct) and the mean
 (reduced_mean) is a smooth 1-D integral of a payoff times q, with no
-kink.  A batch (price_scenarios) builds n(tau) and one marginal per
-distinct (tau, mu) and prices that group's strikes together; nothing
-built for one (tau, mu) outlives the call.  Every integral runs through
-one Gauss-Legendre node-doubling driver (_doubling): n doubles from a
-fixed start at most 4 times until two levels agree to 1e-9 relative,
-else QuadratureError.  A batch of strikes converges value by value, so a
-strike's price does not depend on its batch; a marginal's z-integrals
-converge together, on one z rule.
+kink.  A batch (price_scenarios) builds one marginal per distinct
+(tau, mu), takes n(tau) as its mass and prices that group's strikes
+together; nothing built for one (tau, mu) outlives the call.  Every
+integral runs through one Gauss-Legendre node-doubling driver
+(_doubling): n doubles from a fixed start at most 4 times until two
+levels agree to 1e-9 relative, else QuadratureError.  A batch of strikes
+converges value by value, so a strike's price does not depend on its
+batch; a marginal's z-integrals converge together, on one z rule.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -37,9 +37,10 @@ the dollar price applies it at the end:
     C_A(K, T) = e^{-rT} S0 c_A(k, tau) / n(tau).
 
 price_call_reduced/price_put_reduced therefore return raw values and
-PriceResult carries (c_reduced, norm, price).  n(tau) for prices is
-norm_factor, a 1-D integral against the modified Bessel function
-K_{-mu}, independent of the marginal's mass.
+PriceResult carries (c_reduced, norm, price).  n(tau) for prices is the
+mass of the marginal that priced them.  norm_factor, a 1-D integral
+against the modified Bessel function K_{-mu}, is an independent route to
+n(tau) that no price path calls: the reference the mass is checked by.
 
 Every integral first probes F on one fixed grid of z = log rho to pick
 its window; the probe values F(e^z) are cached per F evaluator, filled
@@ -48,8 +49,9 @@ goes when the evaluator does (a callable that cannot be hashed or weakly
 referenced is probed afresh on each call).  The cache assumes F_eval is
 a pure function of rho.
 
-An F_eval or G_eval left as None is built at PRICING_ORDER on
-DEFAULT_DOMAIN; an evaluator the caller passes is always the one used.
+An F_eval or G_eval left as None is the default at PRICING_ORDER on
+DEFAULT_DOMAIN, built once and kept, so its probe stays cached; an
+evaluator the caller passes is always the one used.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class ReducedParams:
 @dataclass(frozen=True)
 class PriceResult:
     c_reduced: float          # raw reduced call value c_A(k, tau)
-    norm: float               # n(tau)
+    norm: float               # n(tau), the pricing marginal's mass
     price: float              # C_A(K, T) = e^{-rT} S0 c_reduced / norm
     put_price: Optional[float] = None
     p_reduced: Optional[float] = None
@@ -148,12 +150,15 @@ def default_evaluators(order: int = PRICING_ORDER, domain=DEFAULT_DOMAIN):
     return make_evaluator("F", order, domain), make_evaluator("G", order, domain)
 
 
+_default_pair = lru_cache(maxsize=1)(default_evaluators)
+
+
 def _evaluators(F_eval, G_eval):
-    """(F_eval, G_eval), each missing one replaced by its default."""
-    if F_eval is None:
-        F_eval = make_evaluator("F", PRICING_ORDER, DEFAULT_DOMAIN)
-    if G_eval is None:
-        G_eval = make_evaluator("G", PRICING_ORDER, DEFAULT_DOMAIN)
+    """(F_eval, G_eval), each missing one replaced by its kept default."""
+    if F_eval is None or G_eval is None:
+        F0, G0 = _default_pair()
+        F_eval = F0 if F_eval is None else F_eval
+        G_eval = G0 if G_eval is None else G_eval
     return F_eval, G_eval
 
 
@@ -477,7 +482,8 @@ def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
 # -- public operations -----------------------------------------------------------
 
 def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
-    """n(tau): one-dimensional normalization integral via scaled K_{-mu}.
+    """n(tau) by a one-dimensional integral via scaled K_{-mu}: the
+    independent reference for the marginal's mass, on no price path.
 
     n(tau) = 1/(pi tau) e^{-mu^2 tau/2}
              int G(rho) K_{-mu}(rho/tau) e^{-(F(rho)-pi^2/2)/tau} drho/rho,
@@ -506,20 +512,22 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
 
 
 def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
-    """n(tau) as the mass of the marginal density (cross-check route)."""
+    """n(tau) as the mass of the marginal density: the normalization of
+    every price and of f0_density's default."""
     return marginal(tau, mu, F_eval, G_eval).mass()
 
 
 def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
                norm: Optional[float] = None) -> float:
     """Normalized leading density f0(a, t) of the time average w.r.t. da/a:
-    the marginal's z-integral at x = log a, on a z window of its own."""
+    the marginal's z-integral at x = log a, on a z window of its own, over
+    norm (by default the marginal's mass, norm_direct)."""
     _require_finite(a=a, t=t, mu=mu)
     if a <= 0 or t <= 0:
         raise ValueError("f0_density needs a > 0 and t > 0")
     F_eval, G_eval = _evaluators(F_eval, G_eval)
     if norm is None:
-        norm = norm_factor(t, mu, F_eval, G_eval)
+        norm = norm_direct(t, mu, F_eval, G_eval)
     x = math.log(a)
     z_win = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
     shift, r = _z_integrals(x, z_win, 64, t, mu, F_eval, G_eval,
@@ -561,8 +569,8 @@ def price_scenario(s: Scenario, F_eval=None, G_eval=None,
 
 def price_scenarios(scenarios, F_eval=None, G_eval=None,
                     with_put: bool = False):
-    """Batch pricing, in order: per distinct (tau, mu), n(tau), then one
-    marginal that prices the group's strikes together."""
+    """Batch pricing, in order: per distinct (tau, mu), one marginal that
+    prices the group's strikes together and whose mass is n(tau)."""
     F_eval, G_eval = _evaluators(F_eval, G_eval)
     groups = {}             # (tau, mu) -> [(position, scenario, k)]
     for i, s in enumerate(scenarios):
@@ -570,8 +578,8 @@ def price_scenarios(scenarios, F_eval=None, G_eval=None,
         groups.setdefault((rp.tau, rp.mu), []).append((i, s, rp.k))
     results = [None] * sum(map(len, groups.values()))
     for (tau, mu), members in groups.items():
-        n = norm_factor(tau, mu, F_eval, G_eval)
         m = marginal(tau, mu, F_eval, G_eval)
+        n = m.mass()
         ks = np.array([k for _, _, k in members])
         puts = m.put(ks).tolist() if with_put else [None] * len(ks)
         for (i, s, _), c, p in zip(members, m.call(ks).tolist(), puts):

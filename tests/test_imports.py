@@ -1,4 +1,5 @@
-"""Import hygiene: what `import hwkit` loads, and no unused imports.
+"""Import hygiene: what `import hwkit` loads, no unused imports, and the
+module bindings the benchmark's tracer wraps.
 
 No linter ships with the test environment, so the unused-import check
 walks the AST: a name bound by an import must appear as a Name somewhere
@@ -7,6 +8,7 @@ as is the acceptance suite, which stays as written.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -55,3 +57,18 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_traced_binding_exists():
+    # perfbench/tracing.py swaps each (module, attribute) of its TARGETS
+    # for a timing wrapper; a binding renamed or removed in hwkit would
+    # otherwise fail only the traced benchmark runs
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    assert targets
+    missing = [f"{mod}.{attr}" for mod, attr, _ in targets
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing, f"traced bindings missing from hwkit: {missing}"

@@ -3,6 +3,7 @@
 import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -160,6 +161,9 @@ def test_f0_normalization_and_shape(evals40):
                    for xx in x])
     total = float(np.dot(f0, w))
     assert abs(total - 1.0) < 1e-6
+    # with no norm given, f0 is divided by the marginal's mass
+    assert f0_density(1.1, t, mu, F40, G40) == f0_density(
+        1.1, t, mu, F40, G40, norm=norm_direct(t, mu, F40, G40))
     # unimodal near a = 1 for small t, mu = 0
     t2 = 0.01
     norm2 = norm_factor(t2, 0.0, F40, G40)
@@ -235,6 +239,21 @@ def test_order_insensitivity_of_prices(evals_pricing):
         assert abs(a - b) < 5e-6
 
 
+def _not_called(*args, **kwargs):
+    raise AssertionError("a function this path must not call was called")
+
+
+def test_table3_norm_is_the_pricing_marginals_mass(evals_pricing):
+    # n(tau) of a price is the mass of the marginal that priced it; the
+    # Bessel-K route is the independent reference
+    F6, G6 = evals_pricing
+    for s, res in zip(TABLE3_SCENARIOS,
+                      price_scenarios(TABLE3_SCENARIOS, F6, G6)):
+        rp = ReducedParams.from_scenario(s)
+        assert res.norm == marginal(rp.tau, rp.mu, F6, G6).mass()
+        assert abs(res.norm - norm_factor(rp.tau, rp.mu, F6, G6)) <= 1e-12
+
+
 def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
     # table3 scenarios 4-6 and two more strikes share one (tau, mu); the
     # last scenario has their tau with another mu
@@ -243,17 +262,18 @@ def test_batch_pricing_equals_per_scenario(evals_pricing, monkeypatch):
                  + [Scenario(2.0, 0.05, 0.50, 1.0, K) for K in (1.8, 2.2)]
                  + [Scenario(2.0, 0.10, 0.50, 1.0, 2.0)])
     single = [price_scenario(s, F6, G6, with_put=True) for s in scenarios]
-    norm_args = []
+    built = []
 
-    def counting_norm_factor(tau, mu, *args, **kwargs):
-        norm_args.append((tau, mu))
-        return norm_factor(tau, mu, *args, **kwargs)
+    def counting_marginal(tau, mu, *args, **kwargs):
+        built.append((tau, mu))
+        return marginal(tau, mu, *args, **kwargs)
 
-    monkeypatch.setattr(pricing, "norm_factor", counting_norm_factor)
+    monkeypatch.setattr(pricing, "marginal", counting_marginal)
+    monkeypatch.setattr(pricing, "norm_factor", _not_called)
     batch = price_scenarios(scenarios, F6, G6, with_put=True)
     assert batch == single              # every field, exactly
     assert all(r.put_price is not None for r in batch)
-    assert len(norm_args) == len(set(norm_args)) == 5
+    assert len(built) == len(set(built)) == 5
     for res, row in zip(batch[:6], TABLE3_ROWS):
         assert res.price == pytest.approx(row[4], abs=2e-4)
 
@@ -269,27 +289,39 @@ _ONE_EVALUATOR_RUNS = {
 
 @pytest.mark.parametrize("missing", ["F_eval", "G_eval"])
 @pytest.mark.parametrize("entry", sorted(_ONE_EVALUATOR_RUNS))
-def test_a_given_evaluator_is_kept(entry, missing, evals40, evals_pricing,
-                                   monkeypatch):
-    # only the missing evaluator takes its default (order 6); the one the
-    # caller passes is used, and only the missing default is built
+def test_a_given_evaluator_is_kept(entry, missing, evals40, monkeypatch):
+    # only the missing evaluator takes its default (order 6), the one kept
+    # from an earlier call; the one the caller passes is used
     F40, G40 = evals40
-    F6, G6 = evals_pricing
+    F6, G6 = pricing._default_pair()
     run = _ONE_EVALUATOR_RUNS[entry]
     given = {"G_eval": G40} if missing == "F_eval" else {"F_eval": F40}
     full = {"F_eval": F6, "G_eval": G40} if missing == "F_eval" else {
         "F_eval": F40, "G_eval": G6}
     expected = run(**full)
     assert expected != run(F_eval=F6, G_eval=G6)
-    built = []
-
-    def counting_make_evaluator(target, *args, **kwargs):
-        built.append(target)
-        return make_evaluator(target, *args, **kwargs)
-
-    monkeypatch.setattr(pricing, "make_evaluator", counting_make_evaluator)
+    got = pricing._evaluators(given.get("F_eval"), given.get("G_eval"))
+    assert got[0] is full["F_eval"] and got[1] is full["G_eval"]
+    monkeypatch.setattr(pricing, "make_evaluator", _not_called)
     assert run(**given) == expected
-    assert built == [missing[0]]
+
+
+def test_default_evaluators_keep_their_probe(monkeypatch):
+    # a second call with the defaults evaluates F on no probe grid: the
+    # default F is kept, and with it its cache entry
+    stored = []
+
+    class Recording(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            stored.append(type(key))        # the key itself would keep it
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(pricing, "_probe_cache", Recording())
+    first = f0_density(1.1, 0.0625, -0.6, norm=1.0)
+    assert len(stored) == 1
+    gc.collect()
+    assert f0_density(1.1, 0.0625, -0.6, norm=1.0) == first
+    assert len(stored) == 1
 
 
 def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
@@ -533,11 +565,13 @@ def test_marginal_prices_are_consistent(evals_pricing, tau, mu, jitter):
 
 
 def test_tiny_sigma_ends_in_typed_error_without_warning():
-    # sigma = 0.01: tau = 2.5e-5, mu = 999.  K_{-999} is now computed
-    # without overflow; the normalization then runs out of levels
+    # sigma = 0.01: tau = 2.5e-5, mu = 999.  The marginal's z-integrals
+    # run out of levels, without an overflow warning on the way
+    failure = (r"marginal of log a \(tau=2\.5e-05, mu=999\.0, .*\) did not "
+               r"converge in 4 levels \(1024 nodes\)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match="normalization integral"):
+        with pytest.raises(QuadratureError, match=failure):
             price_scenario(Scenario(2.0, 0.05, 0.01, 1.0, 2.0))
 
 
