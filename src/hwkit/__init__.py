@@ -21,7 +21,7 @@ from .asympt import (AsymptoticConstants, PuiseuxData, asympt_c, asympt_cJ,
                      asymptotic_constants, diagnostic_epsilon, puiseux_data)
 from .evaluate import (PiecewiseEvaluator, make_evaluator,
                        truncation_error_profile)
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError
 from .bessel import bessel_k_scaled
 from .hartman import (ThetaSmallTimeError, theta_asympt, theta_hw,
                       theta_hw_stability)

@@ -19,14 +19,14 @@ so cosh(nu u) never overflows on its own at large |nu|, and
 x (about 4e-16 relative at nu = 999.5, x = 4e4, against 2e-12).  The
 symmetry K_nu = K_{-nu} is automatic (only |nu| enters).
 
-bessel_k_scaled works elementwise over an array x: all its integrals run
-through one batched tanh-sinh call, which is how norm_factor evaluates
-K_{-mu} on every node of a level at once.  Each integral takes
-quadrature.integrate's fixed policy: 1e-12 relative agreement within 12
-levels.  scipy.special.kve would give the same values, but importing
-scipy.special costs about 20 MB of resident memory and 0.2 s at
-start-up, more than this whole layer costs a norm_factor call, so it is
-not used.
+bessel_k_scaled works elementwise over an array x: each integral over
+[0, u_max(x)] is one row of a single array per level of
+quadrature.integrate's Gauss-Legendre node doubling, at a fixed policy
+of 32 to 2048 nodes and 1e-12 relative agreement (x = 1e-300, flat to
+u near 690 and then falling off sharply, needs 2048).  scipy's kve would
+give the same values, but importing scipy.special costs about 20 MB of
+resident memory and 0.2 s at start-up, more than this whole layer costs
+a norm_factor call, so it is not used.
 
 Inputs are refused with ValueError, before any integral runs, when nu or
 any x is not finite or any x is not positive.  A result that would
@@ -40,10 +40,12 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadratureError, integrate
+from .quadrature import (QuadratureError, gauss_legendre_nodes, integrate,
+                         relative)
 
 _U_MAX = 700.0      # cosh(u) and the integrand stay finite below it
 _DECADES = 42.0     # decay of the integrand, in decades, at the cutoff
+_N0, _LEVELS, _REL_TOL = 32, 7, 1e-12     # rules of 32 to 2048 nodes
 
 
 def _cutoff(nu: float, x: np.ndarray) -> np.ndarray:
@@ -102,9 +104,11 @@ def bessel_k_scaled(nu: float, x):
     u_max = _cutoff(nu, flat)
     anu = abs(nu)
 
-    def integrand(u, rows):
-        decay = 2.0 * flat[rows, None] * np.sinh(0.5 * u) ** 2
-        return 0.5 * np.exp(anu * u - decay) * (1.0 + np.exp(-2.0 * anu * u))
+    def level(n):
+        u, w = gauss_legendre_nodes(0.0, u_max[:, None], n)
+        decay = 2.0 * flat[:, None] * np.sinh(0.5 * u) ** 2
+        f = 0.5 * np.exp(anu * u - decay) * (1.0 + np.exp(-2.0 * anu * u))
+        return (f * w).sum(-1)
 
-    val, _ = integrate(integrand, 0.0, u_max)
+    val = integrate(level, _N0, _LEVELS, relative(_REL_TOL), f"K_{nu}")
     return float(val[0]) if xs.ndim == 0 else val.reshape(xs.shape)

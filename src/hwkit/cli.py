@@ -12,7 +12,8 @@ Exit codes:
   2 usage errors and refused inputs: argparse's own, and every ValueError
     other than a JSON parse error (EvaluatorError for a domain outside the
     convergence disk, SeriesError, non-finite or non-positive inputs);
-  3 file and parse errors (missing file, bad JSON, missing scenario key);
+  3 file and parse errors (missing file, bad JSON, a scenario file that
+    is not an array of objects, a missing or non-numeric scenario field);
   4 numeric failures, every RuntimeError: QuadratureError and
     RootSolveError (non-convergence), ThetaSmallTimeError (theta's
     quadrature refuses t < 0.1).
@@ -32,6 +33,7 @@ EXIT_NUMERIC = 4
 
 _COEFF_FAMILIES = ("h", "h_log", "jbs_omega", "jbs_log", "F", "G")
 _ASYMPT_FAMILIES = ("c", "d", "cJ", "dJ", "dF", "dG")
+_SCENARIO_KEYS = ("S0", "r", "sigma", "T", "K")
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -178,15 +180,27 @@ def _scenario_rows(results, scenarios):
     return rows
 
 
+class ScenarioFileError(Exception):
+    """A scenario file that is JSON but does not hold scenarios."""
+
+
 def _load_scenarios(path):
+    """Scenarios from a JSON array of objects with numeric S0, r, sigma, T
+    and K, else ScenarioFileError."""
     from .pricing import Scenario
 
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
-        raise ValueError("scenario file must hold a JSON array")
-    return [Scenario(S0=float(d["S0"]), r=float(d["r"]), sigma=float(d["sigma"]),
-                     T=float(d["T"]), K=float(d["K"])) for d in data]
+        raise ScenarioFileError("scenario file must hold a JSON array")
+    scenarios = []
+    for i, d in enumerate(data):
+        try:
+            fields = {key: float(d[key]) for key in _SCENARIO_KEYS}
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise ScenarioFileError(f"scenario {i}: {e!r}") from None
+        scenarios.append(Scenario(**fields))
+    return scenarios
 
 
 def cmd_price(args) -> int:
@@ -282,7 +296,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FILE
-    except (json.JSONDecodeError, KeyError) as e:
+    except (json.JSONDecodeError, ScenarioFileError) as e:
         print(f"error: could not parse input: {e}", file=sys.stderr)
         return EXIT_FILE
     except ValueError as e:

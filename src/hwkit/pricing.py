@@ -23,11 +23,13 @@ rule, and every call, put, the mass n(tau) (norm_direct) and the mean
 kink.  A batch (price_scenarios) builds one marginal per distinct
 (tau, mu), takes n(tau) as its mass and prices that group's strikes
 together; nothing built for one (tau, mu) outlives the call.  Every
-integral runs through one Gauss-Legendre node-doubling driver
-(_doubling): n doubles from a fixed start at most 4 times until two
-levels agree to 1e-9 relative, else QuadratureError.  A batch of strikes
-converges value by value, so a strike's price does not depend on its
-batch; a marginal's z-integrals converge together, on one z rule.
+integral runs on quadrature.integrate, the package's one node-doubling
+driver, at pricing's policy (_doubling): Gauss-Legendre rules over the
+integral's window, n doubling from a fixed start at most 4 times until
+two levels agree to 1e-9 relative, else QuadratureError.  A batch of
+strikes converges value by value, so a strike's price does not depend
+on its batch; a marginal's z-integrals converge together, on one z
+rule.
 
 Benchmark convention: the reduced call value c_A tabulated by the
 standard seven test scenarios is the *unnormalized* integral (the
@@ -67,7 +69,8 @@ import numpy as np
 from . import exact
 from .bessel import bessel_k_scaled
 from .evaluate import DEFAULT_DOMAIN, make_evaluator
-from .quadrature import QuadratureError, gauss_legendre_nodes
+from .quadrature import (QuadratureError, gauss_legendre_nodes, integrate,
+                         relative)
 
 PI2_HALF = exact.PI2_HALF
 
@@ -251,35 +254,14 @@ def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
     return (mid + pad * (z_lo - mid) - 0.02, mid + pad * (z_hi - mid) + 0.02)
 
 
-# -- the node-doubling driver and the marginal density of x = log a -----------
+# -- the node-doubling policy and the marginal density of x = log a ------------
 
-def _agree(cur, prev):
-    """Per value, whether two levels agree to _REL_TOL relative."""
-    return np.abs(cur - prev) <= _REL_TOL * np.maximum(np.abs(cur), 1e-300)
-
-
-def _doubling(level, lo, hi, n0, what: str, agree=_agree):
-    """Gauss-Legendre node doubling on [lo, hi]: level(xn, xw) gives the
-    value on one node set, a float or, when lo and hi are columns, one
-    value per row.  From n0 nodes, n doubles up to _LEVELS times; each
-    value keeps its first level at which agree(values, previous values)
-    holds for it.  An open value that is not finite raises at once."""
-    prev = out = done = None
-    n = n0
-    for _ in range(_LEVELS):
-        cur = np.asarray(level(*gauss_legendre_nodes(lo, hi, n)), dtype=float)
-        if done is None:
-            out, done = np.empty_like(cur), np.zeros(cur.shape, dtype=bool)
-        if not np.isfinite(cur[~done]).all():
-            raise QuadratureError(f"{what}: non-finite value at {n} nodes")
-        if prev is not None:
-            new = ~done & agree(cur, prev)
-            out[new], done = cur[new], done | new
-            if done.all():
-                return out if out.ndim else float(out)
-        prev, n = cur, 2 * n
-    raise QuadratureError(f"{what} did not converge in {_LEVELS} levels "
-                          f"({n // 2} nodes)")
+def _doubling(level, lo, hi, n0, what: str, agree=relative(_REL_TOL)):
+    """quadrature.integrate at pricing's policy, on the Gauss-Legendre rules
+    over [lo, hi], from n0 nodes: level(xn, xw) gives the value on one
+    rule, or one value per row when lo and hi are columns."""
+    return integrate(lambda n: level(*gauss_legendre_nodes(lo, hi, n)), n0,
+                     _LEVELS, agree, what)
 
 
 _Z_NODES, _X_NODES = 128, 32    # first levels: z per build, x per option

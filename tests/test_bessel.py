@@ -91,16 +91,38 @@ def test_array_argument_equals_scalar_calls():
                           bessel_k_scaled(0.6, grid.ravel()).reshape(8, 12))
 
 
-def test_one_batched_quadrature_per_call(monkeypatch):
+def _recording_levels(monkeypatch):
+    """Per integrate call of bessel, the shape of each level's values and
+    its node count, as a list of lists of (shape, n)."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[2]))
-        return integrate(*args, **kwargs)
+    def recording(level, *args, **kwargs):
+        calls.append([])
 
-    monkeypatch.setattr(bessel, "integrate", counting)
+        def level_seen(n):
+            values = level(n)
+            calls[-1].append((np.shape(values), n))
+            return values
+        return integrate(level_seen, *args, **kwargs)
+
+    monkeypatch.setattr(bessel, "integrate", recording)
+    return calls
+
+
+def test_one_batched_quadrature_per_call(monkeypatch):
+    # one driver call, all 64 arguments in one array at every level
+    calls = _recording_levels(monkeypatch)
     bessel_k_scaled(-0.6, np.linspace(1.0, 400.0, 64))
-    assert calls == [(64,)]
+    assert len(calls) == 1 and calls[0]
+    assert all(shape == (64,) for shape, _ in calls[0])
+
+
+def test_tiny_argument_converges_within_the_node_cap(monkeypatch):
+    # at x = 1e-300 the integrand is flat to u near 690 and then falls off
+    # sharply: the doubling needs its last rule, 2048 nodes, and no more
+    calls = _recording_levels(monkeypatch)
+    bessel_k_scaled(0.5, 1e-300)
+    assert [n for _, n in calls[0]] == [32, 64, 128, 256, 512, 1024, 2048]
 
 
 def test_large_order_without_overflow_warning():

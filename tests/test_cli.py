@@ -151,6 +151,32 @@ def test_price_bad_json(tmp_path, capsys):
     assert code == EXIT_FILE
 
 
+_GOOD = {"S0": 2.0, "r": 0.18, "sigma": 0.30, "T": 1.0, "K": 2.0}
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[1, 2]", "scenario 0: TypeError"),
+    ('[{"S0": 2.0}, "S0"]', "scenario 0: KeyError('r')"),
+    (json.dumps([_GOOD, [2.0, 0.18]]), "scenario 1: TypeError"),
+    (json.dumps([_GOOD, dict(_GOOD, sigma=None)]), "scenario 1: TypeError"),
+    (json.dumps([dict(_GOOD, T=[1.0])]), "scenario 0: TypeError"),
+    (json.dumps([dict(_GOOD, K="two")]), "scenario 0: ValueError"),
+    ('[{"S0": 1%s, "r": 0, "sigma": 1, "T": 1, "K": 1}]' % ("0" * 400),
+     "scenario 0: OverflowError"),
+    (json.dumps(_GOOD), "must hold a JSON array")],
+    ids=["int entries", "missing field", "list entry", "null field",
+         "list field", "text field", "huge int field", "no array"])
+def test_price_malformed_scenario_file(tmp_path, capsys, text, match):
+    # a file that is JSON but not an array of numeric scenario objects is
+    # a parse error: exit 3 with a message, no traceback
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "price", str(path))
+    assert code == EXIT_FILE
+    assert out == ""
+    assert err.startswith("error: could not parse input: ") and match in err
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "coeffs", "G", "8")
     _, out2, _ = run_cli(capsys, "coeffs", "G", "8")

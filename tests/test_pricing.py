@@ -355,21 +355,6 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
         assert sizes == expect[name], name
 
 
-def test_doubling_raises_after_its_levels():
-    # a step at an interior point: Gauss-Legendre converges only
-    # algebraically, so 1e-9 is out of reach in the driver's four levels
-    sizes = []
-
-    def level(zn, zw):
-        sizes.append(len(zn))
-        return float(np.dot(zn > 1.0 / 3.0, zw))
-
-    with pytest.raises(QuadratureError,
-                       match=r"step integral did not converge in 4 levels"):
-        pricing._doubling(level, 0.0, 1.0, 16, "step integral")
-    assert sizes == [16, 32, 64, 128]
-
-
 def _nan_like(rho):
     return np.full_like(np.asarray(rho, dtype=float), np.nan)
 
@@ -522,22 +507,6 @@ def test_chebyshev_tail_over_its_bound_raises(evals_pricing, monkeypatch):
         marginal(0.0625, -0.6, *evals_pricing)
 
 
-def test_doubling_keeps_each_rows_first_converged_level():
-    # row 0 agrees from the second level, row 1 only from the fourth
-    sizes = []
-
-    def level(xn, xw):
-        sizes.append(xn.shape)
-        n = xn.shape[1]
-        return np.array([1.0, 1.0 + 1e3 * 2.0 ** (-n)]) + 1e-12 * n
-
-    got = pricing._doubling(level, np.zeros((2, 1)), np.ones((2, 1)), 16,
-                            "two rows")
-    assert sizes == [(2, 16), (2, 32), (2, 64), (2, 128)]
-    assert got[0] == 1.0 + 1e-12 * 32
-    assert got[1] == 1.0 + 1e3 * 2.0 ** -128 + 1e-12 * 128
-
-
 _STRIKES = 17
 
 
@@ -562,6 +531,29 @@ def test_marginal_prices_are_consistent(evals_pricing, tau, mu, jitter):
     assert np.all((0.0 <= c) & (c <= mean)) and np.all(p >= 0.0)
     assert abs(mass / norm_factor(tau, mu, F6, G6) - 1.0) <= 1e-9
     assert np.abs(c - p - (mean - ks * mass)).max() <= 1e-9 * mean
+
+
+_ORDER_6_REGRESSION = pytest.mark.xfail(
+    strict=True, raises=QuadratureError,
+    reason="order-6 F and G jump at their series/closed-form switch and "
+           "log q is not resolved: a Chebyshev tail of 1.2e-10 at tau 0.25, "
+           "no convergence in 4 levels at 0.5 (ROADMAP item 4)")
+
+
+@pytest.mark.parametrize("tau", [
+    0.225,
+    pytest.param(0.25, marks=_ORDER_6_REGRESSION),
+    pytest.param(0.5, marks=_ORDER_6_REGRESSION)])
+def test_order_6_prices_above_tau_one_eighth(evals_pricing, tau):
+    # the mass of the pricing marginal against the Bessel-K reference,
+    # and put-call parity on that marginal, at mu = -0.6
+    F6, G6 = evals_pricing
+    ks = np.array([0.7, 0.9, 1.0, 1.1, 1.4])
+    m = marginal(tau, -0.6, F6, G6)
+    c, p = m.call(ks), m.put(ks)
+    mass, mean = m.mass(), m.mean()
+    assert abs(mass / norm_factor(tau, -0.6, F6, G6) - 1.0) <= 1e-9
+    assert np.abs(c - p - (mean - ks * mass)).max() <= 1e-12 * mean
 
 
 def test_tiny_sigma_ends_in_typed_error_without_warning():
