@@ -355,6 +355,21 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
         assert sizes == expect[name], name
 
 
+def test_doubling_raises_after_its_levels():
+    # a step at an interior point: Gauss-Legendre converges only
+    # algebraically, so 1e-9 is out of reach in the driver's four levels
+    sizes = []
+
+    def level(zn, zw):
+        sizes.append(len(zn))
+        return float(np.dot(zn > 1.0 / 3.0, zw))
+
+    with pytest.raises(QuadratureError,
+                       match=r"step integral did not converge in 4 levels"):
+        pricing._doubling(level, 0.0, 1.0, 16, "step integral")
+    assert sizes == [16, 32, 64, 128]
+
+
 def _nan_like(rho):
     return np.full_like(np.asarray(rho, dtype=float), np.nan)
 
@@ -505,6 +520,22 @@ def test_chebyshev_tail_over_its_bound_raises(evals_pricing, monkeypatch):
     monkeypatch.setattr(pricing, "_CHEB_TOL", 1e-18)
     with pytest.raises(QuadratureError, match="Chebyshev tail"):
         marginal(0.0625, -0.6, *evals_pricing)
+
+
+def test_doubling_keeps_each_rows_first_converged_level():
+    # row 0 agrees from the second level, row 1 only from the fourth
+    sizes = []
+
+    def level(xn, xw):
+        sizes.append(xn.shape)
+        n = xn.shape[1]
+        return np.array([1.0, 1.0 + 1e3 * 2.0 ** (-n)]) + 1e-12 * n
+
+    got = pricing._doubling(level, np.zeros((2, 1)), np.ones((2, 1)), 16,
+                            "two rows")
+    assert sizes == [(2, 16), (2, 32), (2, 64), (2, 128)]
+    assert got[0] == 1.0 + 1e-12 * 32
+    assert got[1] == 1.0 + 1e3 * 2.0 ** -128 + 1e-12 * 128
 
 
 _STRIKES = 17
