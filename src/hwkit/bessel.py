@@ -22,8 +22,10 @@ symmetry K_nu = K_{-nu} is automatic (only |nu| enters).
 bessel_k_scaled works elementwise over an array x: each integral over
 [0, u_max(x)] is one row of a single array per level of
 quadrature.integrate's Gauss-Legendre node doubling, at a fixed policy
-of 32 to 2048 nodes and 1e-12 relative agreement (x = 1e-300, flat to
-u near 690 and then falling off sharply, needs 2048).  scipy's kve would
+of 32 to 2048 nodes and 1e-12 relative agreement.  Each window ends
+where the integrand has fallen 42 decades from its value at u = 0, solved
+for directly (x = 1e-300, flat to u near 690 and then falling off
+sharply, needs 1024 nodes).  scipy's kve would
 give the same values, but importing scipy.special costs about 20 MB of
 resident memory and 0.2 s at start-up, more than this whole layer costs
 a norm_factor call, so it is not used.
@@ -46,27 +48,32 @@ from .quadrature import (QuadratureError, gauss_legendre_nodes, integrate,
 _U_MAX = 700.0      # cosh(u) and the integrand stay finite below it
 _DECADES = 42.0     # decay of the integrand, in decades, at the cutoff
 _N0, _LEVELS, _REL_TOL = 32, 7, 1e-12     # rules of 32 to 2048 nodes
+_CUT_TOL = 1e-9     # relative step that ends the cutoff's iteration
 
 
 def _cutoff(nu: float, x: np.ndarray) -> np.ndarray:
-    """Per x, a u beyond which x(cosh u - 1) - |nu| u exceeds _DECADES
-    in e-folds: u grows by 1.5x, capped at _U_MAX, until it does.  It
-    starts at max(asinh(1/x), min(1, sqrt(2 target / x))), where
-    x u^2 / 2 reaches the target, so the window tracks the peak's width
-    x^(-1/2) at large x."""
+    """Per x, the u at which x(cosh u - 1) - |nu| u reaches _DECADES in
+    e-folds, that is 2x sinh^2(u/2) = target + |nu| u: the fixed point of
+
+        u = 2 asinh(sqrt((target + |nu| u)/(2x))),
+
+    iterated from _U_MAX, from where it falls onto the solution without
+    passing it.  Floored at min(1, sqrt(2 target/x)), where x u^2/2 reaches
+    the target, so the window tracks the peak's width x^(-1/2) at large
+    x."""
     target = _DECADES * math.log(10.0)
-    xs = np.maximum(x, 1e-300)
-    u = np.minimum(np.maximum(np.arcsinh(1.0 / xs),
-                              np.minimum(1.0, np.sqrt(2.0 * target / xs))),
-                   _U_MAX)
+    anu, root = abs(nu), np.sqrt(2.0 * x)
+    u = np.full(x.shape, _U_MAX)
     while True:
-        short = x * (np.cosh(u) - 1.0) - abs(nu) * u - target <= 0
-        if not short.any():
-            return u
-        if u[short].max() >= _U_MAX:
+        nxt = 2.0 * np.arcsinh(np.sqrt(target + anu * u) / root)
+        past = nxt > _U_MAX
+        if past.any():
             raise QuadratureError(f"K_{nu}: no integration window below "
-                                  f"u = {_U_MAX} at x = {x[short].min()}")
-        u = np.where(short, np.minimum(1.5 * u, _U_MAX), u)
+                                  f"u = {_U_MAX} at x = {x[past].min()}")
+        if (u - nxt <= _CUT_TOL * nxt).all():
+            return np.maximum(nxt, np.minimum(1.0, 2.0 * math.sqrt(target)
+                                              / root))
+        u = nxt
 
 
 def _overflows(nu: float, x: np.ndarray) -> bool:

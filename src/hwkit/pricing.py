@@ -14,15 +14,17 @@ exponent becomes -[F(e^z) - pi^2/2 + e^z cosh(x + z)]/t: a nonnegative
 bracket, minimized at the density peak, so exp never overflows and a
 running max-subtraction keeps the quadrature in range at t as small as
 0.0025.  Integration windows are picked adaptively from the decay of that
-bracket.
+bracket.  As e^z cosh(x + z) = (e^x e^{2z} + e^-x)/2, the exponent is
+separable in e^x, so F and G are evaluated once per z rule, for every x.
 
 Prices come from the marginal density q(x) of x = log a (marginal): its
 log is a Chebyshev interpolant built from 65 z-integrals on one shared z
 rule, and every call, put, the mass n(tau) (norm_direct) and the mean
-(reduced_mean) is a smooth 1-D integral of a payoff times q, with no
+(reduced_mean) is a smooth 1-D integral of (a e^x + b) times q, with no
 kink.  A batch (price_scenarios) builds one marginal per distinct
-(tau, mu), takes n(tau) as its mass and prices that group's strikes
-together; nothing built for one (tau, mu) outlives the call.  Every
+(tau, mu) and runs that group's mass n(tau), calls and puts as the rows
+of one x integral; only strikes past the window get builds of their
+own.  Nothing built for one (tau, mu) outlives the call.  Every
 integral runs on quadrature.integrate, the package's one node-doubling
 driver, at pricing's policy (_doubling): Gauss-Legendre rules over the
 integral's window, n doubling from a fixed start at most 4 times until
@@ -274,19 +276,35 @@ _LOG_ZERO = -800.0    # q under e^-800 is 0 in double precision
 _DEEP = 20.0          # e-folds under the largest q where agreement turns absolute
 
 
-def _z_sums(x, zn, zw, tau, mu, F_eval, G_eval):
+def _z_kernel(tau, mu, F_eval, G_eval):
+    """zn -> (w, c) on the z rule zn, where the z-integrand's exponent is
+    w(z) - e^x c(z) - e^-x/(2 tau): w = -(F(e^z) - pi^2/2)/tau + mu z
+    + log G(e^z) and c = e^{2z}/(2 tau).  Kept per rule size, so a build's
+    x-window scan and first z level (one z window) share F and G values."""
+    terms = {}
+
+    def kernel(zn):
+        if zn.size not in terms:
+            rho = np.exp(zn)
+            w = (-(np.asarray(F_eval(rho), dtype=float) - PI2_HALF) / tau
+                 + mu * zn + np.log(np.asarray(G_eval(rho), dtype=float)))
+            terms[zn.size] = w, rho * rho / (2.0 * tau)
+        return terms[zn.size]
+    return kernel
+
+
+def _z_sums(x, w, c, zw, tau):
     """Per x (a float or a 1-D array), (M, S): e^M S is the z-integral of
-    G(e^z) e^{mu z} e^{-[F(e^z) - pi^2/2 + e^z cosh(x + z)]/tau} on the rule
-    (zn, zw), M the largest exponent of the row, shifted out before exp."""
-    rho = np.exp(zn)
-    bracket = (np.asarray(F_eval(rho), dtype=float) - PI2_HALF
-               + rho * np.cosh(np.add.outer(x, zn)))
-    L = -bracket / tau + mu * zn + np.log(np.asarray(G_eval(rho), dtype=float))
-    M = L.max(axis=-1)
-    return M, np.dot(np.exp(L - M[..., None]), zw)
+    e^{w - e^x c - e^-x/(2 tau)} on the rule with weights zw, (w, c) from
+    _z_kernel.  M, the z-free term plus the row's largest exponent, is
+    shifted out before exp: one outer product and one exp per grid."""
+    L = w - np.multiply.outer(np.exp(x), c)
+    top = L.max(axis=-1)
+    return (top - np.exp(-x) / (2.0 * tau),
+            np.dot(np.exp(L - top[..., None]), zw))
 
 
-def _z_integrals(x, z_win, n0, tau, mu, F_eval, G_eval, what):
+def _z_integrals(x, z_win, n0, tau, mu, kernel, what):
     """Per x, (shift, r) with e^shift r the z-integral of _z_sums, all
     from the first z rule of _doubling, from n0 nodes, on which every r
     agrees with the previous rule's to _REL_TOL of itself or, if its q
@@ -298,7 +316,7 @@ def _z_integrals(x, z_win, n0, tau, mu, F_eval, G_eval, what):
 
     def level(zn, zw):
         nonlocal shift
-        M, S = _z_sums(x, zn, zw, tau, mu, F_eval, G_eval)
+        M, S = _z_sums(x, *kernel(zn), zw, tau)
         shift = M if shift is None else shift
         return S * np.exp(M - shift)
 
@@ -346,8 +364,9 @@ class Marginal:
 
     log q is a Chebyshev interpolant, summed to its last coefficient above
     _CHOP; err, its largest trailing coefficient, bounds its relative error
-    in q.  call(k) and put(k) integrate (e^x - k)^+ q and (k - e^x)^+ q,
-    mass() q (that is n(tau)) and mean() e^x q.
+    in q.  Each integral of q is a row int (a e^x + b) q dx: mass() (that
+    is n(tau)) has (a, b) = (0, 1), mean() (1, 0), call(k) (1, -k) and
+    put(k) (-1, k); prices() runs mass, calls and puts as one x integral.
     """
 
     def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
@@ -355,10 +374,12 @@ class Marginal:
         what = (f"marginal of log a (tau={tau}, mu={mu}, x from "
                 f"{scan[0]:.6g} to {scan[1]:.6g})")
         const = mu * mu * tau / 2 + math.log(2.0 * math.pi * tau)
+        kernel = _z_kernel(tau, mu, F_eval, G_eval)
         zn, zw = gauss_legendre_nodes(*z_win, _Z_NODES)
+        w, c = kernel(zn)
 
         def scan_log_q(x):
-            M, S = _z_sums(x, zn, zw, tau, mu, F_eval, G_eval)
+            M, S = _z_sums(x, w, c, zw, tau)
             return M + np.log(S) + mu * x - const
 
         self.lo, self.hi, peak = _x_window(scan_log_q, *scan, free, what)
@@ -367,8 +388,7 @@ class Marginal:
             return
         x = 0.5 * (self.lo + self.hi + (self.hi - self.lo)
                    * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE))
-        shift, r = _z_integrals(x, z_win, _Z_NODES, tau, mu, F_eval, G_eval,
-                                what)
+        shift, r = _z_integrals(x, z_win, _Z_NODES, tau, mu, kernel, what)
         coeffs = _cheb_matrix() @ (shift + np.log(r) + mu * x - const)
         self.err = float(np.abs(coeffs[-3:]).max())
         if self.err > _CHEB_TOL:
@@ -384,57 +404,81 @@ class Marginal:
             b1, b2 = c + t2 * b1 - b2, b1
         return self.coeffs[0] + 0.5 * t2 * b1 - b2
 
-    def _integral(self, lo, hi, weight, what):
-        """int weight(x) q(x) dx over [lo, hi], per row if they are columns."""
+    def _rows(self, a, b, lo, hi, what):
+        """Per row, int (a e^x + b) q(x) dx over [lo, hi], on one _doubling
+        run where each row keeps its own first converged level."""
+        a, b, lo, hi = (np.asarray(v, dtype=float)[:, None]
+                        for v in (a, b, lo, hi))
         return _doubling(
-            lambda xn, xw: (weight(xn) * np.exp(self.log_q(xn)) * xw).sum(-1),
-            lo, hi, _X_NODES, f"{what} integral (tau={self.tau}, mu={self.mu})")
+            lambda xn, xw: ((a * np.exp(xn) + b) * np.exp(self.log_q(xn))
+                            * xw).sum(-1),
+            lo, hi, _X_NODES, f"{what} (tau={self.tau}, mu={self.mu})")
 
     def mass(self) -> float:
-        return self._integral(self.lo, self.hi, np.ones_like, "mass")
+        return float(self._rows([0.0], [1.0], [self.lo], [self.hi],
+                                "mass integral")[0])
 
     def mean(self) -> float:
-        return self._integral(self.lo, self.hi, np.exp, "mean")
+        return float(self._rows([1.0], [0.0], [self.lo], [self.hi],
+                                "mean integral")[0])
 
     def call(self, k):
-        return self._options(k, 1.0, "call")
+        return self._one_side(k, 1.0, "call")
 
     def put(self, k):
-        return self._options(k, -1.0, "put")
+        return self._one_side(k, -1.0, "put")
 
-    def _options(self, k, side, what):
+    def _one_side(self, k, side, what):
         """Calls (side 1) or puts (side -1): a float, or an array of k's
-        shape.  The out-of-the-money side runs from log k, clipped to the
-        window, to its far edge."""
-        flat = _strikes(k, what)
-        log_k = np.log(flat)
+        shape."""
+        out = self.prices(_strikes(k, what), (side,))[1][0]
+        return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
+
+    def prices(self, k, sides):
+        """(mass, [values at the flat strikes k per side]), side 1 calls
+        and -1 puts.  The mass and each strike the window holds are rows of
+        one x run, from log k, clipped to the window, to its far edge; each
+        other strike gets a tail build of its own."""
+        log_k = np.log(k)
         start = np.clip(log_k, self.lo, self.hi)
-        far = self.hi if side > 0 else self.lo
         # log of the integrand's scale, e^x q for a call and q for a put,
         # unimodal: the window holds the option if it falls _OWN_EFOLDS
         # from its top on [start, far] to the far edge, else a tail is built
         x = np.append(np.linspace(self.lo, self.hi, 129), start)
-        size = self.log_q(x) + (x if side > 0 else 0.0)
-        peak = np.argmax(size[:129])
-        top = np.where(side * (start - x[peak]) <= 0, size[peak], size[129:])
-        own = top - size[128 if side > 0 else 0] >= _OWN_EFOLDS
-        out = np.empty(flat.size)
-        if own.any():
-            lo, hi = np.sort([start[own], np.full(own.sum(), far)], axis=0)
-            kk = flat[own, None]
-            out[own] = self._integral(lo[:, None], hi[:, None],
-                                      lambda x: side * (np.exp(x) - kk), what)
+        lq = self.log_q(x)
+        rows, held = [([0.0], [1.0], [self.lo], [self.hi])], []
+        for side in sides:
+            size = lq + (x if side > 0 else 0.0)
+            peak = np.argmax(size[:129])
+            top = np.where(side * (start - x[peak]) <= 0, size[peak],
+                           size[129:])
+            own = top - size[128 if side > 0 else 0] >= _OWN_EFOLDS
+            far = np.full(own.sum(), self.hi if side > 0 else self.lo)
+            rows.append((np.full(far.size, side), -side * k[own],
+                         *np.sort([start[own], far], axis=0)))
+            held.append(own)
+        vals = self._rows(*map(np.concatenate, zip(*rows)),
+                          "mass and option integrals")
+        out, at = [], 1
+        for side, own in zip(sides, held):
+            v = np.empty(k.size)
+            v[own] = vals[at:at + own.sum()]
+            at += own.sum()
+            for i in np.nonzero(~own)[0]:
+                v[i] = self._tail(log_k[i], k[i], side)
+            out.append(v)
+        return float(vals[0]), out
+
+    def _tail(self, log_k, k, side):
+        """A strike the window does not hold, on a build from log k out."""
         clip = np.maximum if side > 0 else np.minimum
+        z_win = _z_window(self.tau, self.mu, lambda z: clip(log_k, -z),
+                          self.F_eval)
         step = side * 0.25 * (self.hi - self.lo)
-        for i in np.nonzero(~own)[0]:
-            z_win = _z_window(self.tau, self.mu,
-                              lambda z: clip(log_k[i], -z), self.F_eval)
-            tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval, z_win,
-                            sorted((log_k[i], log_k[i] + step)),
-                            (side < 0, side > 0))
-            out[i] = tail._integral(tail.lo, tail.hi,
-                                    lambda x: side * (np.exp(x) - flat[i]), what)
-        return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
+        tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval, z_win,
+                        sorted((log_k, log_k + step)), (side < 0, side > 0))
+        return tail._rows([side], [-side * k], [tail.lo], [tail.hi],
+                          "option integral")[0]
 
 
 def _strikes(k, what):
@@ -512,7 +556,8 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
         norm = norm_direct(t, mu, F_eval, G_eval)
     x = math.log(a)
     z_win = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
-    shift, r = _z_integrals(x, z_win, 64, t, mu, F_eval, G_eval,
+    shift, r = _z_integrals(x, z_win, 64, t, mu,
+                            _z_kernel(t, mu, F_eval, G_eval),
                             f"density integral (a={a}, t={t}, mu={mu})")
     return (math.exp(shift) * r
             * math.exp(mu * x - 0.5 * mu * mu * t) / (2.0 * math.pi * t) / norm)
@@ -561,10 +606,10 @@ def price_scenarios(scenarios, F_eval=None, G_eval=None,
     results = [None] * sum(map(len, groups.values()))
     for (tau, mu), members in groups.items():
         m = marginal(tau, mu, F_eval, G_eval)
-        n = m.mass()
-        ks = np.array([k for _, _, k in members])
-        puts = m.put(ks).tolist() if with_put else [None] * len(ks)
-        for (i, s, _), c, p in zip(members, m.call(ks).tolist(), puts):
+        ks = _strikes([k for _, _, k in members], "call")
+        n, vals = m.prices(ks, (1.0, -1.0) if with_put else (1.0,))
+        puts = vals[1].tolist() if with_put else [None] * len(ks)
+        for (i, s, _), c, p in zip(members, vals[0].tolist(), puts):
             disc = math.exp(-s.r * s.T) * s.S0
             results[i] = PriceResult(c, n, disc * c / n,
                                      None if p is None else disc * p / n, p)

@@ -119,10 +119,24 @@ def test_one_batched_quadrature_per_call(monkeypatch):
 
 def test_tiny_argument_converges_within_the_node_cap(monkeypatch):
     # at x = 1e-300 the integrand is flat to u near 690 and then falls off
-    # sharply: the doubling needs its last rule, 2048 nodes, and no more
+    # sharply, at the window's end: the doubling needs 1024 nodes, one
+    # rule short of its cap
     calls = _recording_levels(monkeypatch)
     bessel_k_scaled(0.5, 1e-300)
-    assert [n for _, n in calls[0]] == [32, 64, 128, 256, 512, 1024, 2048]
+    assert [n for _, n in calls[0]] == [32, 64, 128, 256, 512, 1024]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.6, 3.0])
+def test_log_spaced_sweep_vs_mpmath(nu):
+    # 50 arguments from 1e-300 to 1e12: each converges to mpmath, or its
+    # scaled value overflows double precision and it raises for that
+    for x in np.geomspace(1e-300, 1e12, 50):
+        if bessel._overflows(nu, np.array([x])):
+            with pytest.raises(QuadratureError, match="overflows"):
+                bessel_k_scaled(nu, x)
+            continue
+        want = float(mpmath.besselk(nu, x) * mpmath.exp(x))
+        assert bessel_k_scaled(nu, x) == pytest.approx(want, rel=1e-12), x
 
 
 def test_large_order_without_overflow_warning():

@@ -327,7 +327,8 @@ def test_default_evaluators_keep_their_probe(monkeypatch):
 def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
     # one doubling driver.  A marginal build takes its z rule at 128 nodes
     # for the x-window scan, then 128 and 256 for its Chebyshev values;
-    # each option or moment integral over x then starts at 32.  The 1-D
+    # each option or moment integral over x then starts at 32, and a
+    # batch runs its mass, calls and puts as one such x integral.  The 1-D
     # normalization and density integrals start at 64; all of these
     # converge at their second level at this scenario
     F6, G6 = evals_pricing
@@ -344,15 +345,30 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
             "norm": lambda: norm_factor(rp.tau, rp.mu, F6, G6),
             "f0": lambda: f0_density(1.1, rp.tau, rp.mu, F6, G6, norm=1.0),
             "one": lambda: norm_direct(rp.tau, rp.mu, F6, G6),
-            "mean": lambda: reduced_mean(rp.tau, rp.mu, F6, G6)}
+            "mean": lambda: reduced_mean(rp.tau, rp.mu, F6, G6),
+            "batch": lambda: price_scenarios([TABLE3_SCENARIOS[4]], F6, G6,
+                                             with_put=True)}
     build = [128, 128, 256]
     expect = {"call": build + [32, 64], "put": build + [32, 64],
               "norm": [64, 128], "f0": [64, 128],
-              "one": build + [32, 64], "mean": build + [32, 64]}
+              "one": build + [32, 64], "mean": build + [32, 64],
+              "batch": build + [32, 64]}
     for name, run in runs.items():
         sizes.clear()
         run()
         assert sizes == expect[name], name
+
+
+def test_batched_prices_equal_the_one_sided_runs(evals_pricing):
+    # one x run for the mass, the calls and the puts gives the bits of the
+    # mass, call and put runs on their own, far strikes' tails included
+    F6, G6 = evals_pricing
+    m = marginal(0.0025, 3.0, F6, G6)
+    ks = np.concatenate([np.linspace(0.8, 1.2, 17), [0.55, 1.8]])
+    mass, (c, p) = m.prices(ks, (1.0, -1.0))
+    assert mass == m.mass()
+    assert np.array_equal(c, m.call(ks))
+    assert np.array_equal(p, m.put(ks))
 
 
 def test_doubling_raises_after_its_levels():
@@ -401,6 +417,51 @@ def test_nan_rate_function_raises_typed_error(evals_pricing):
     for run in runs:
         with pytest.raises(QuadratureError, match="not finite at any probe"):
             run()
+
+
+def _z_sums_cosh(x, zn, zw, tau, mu, F_eval, G_eval):
+    """The z-sums in their cosh form: per x, (M, S) with e^M S the
+    z-integral of G(e^z) e^{mu z} e^{-[F(e^z) - pi^2/2 + e^z cosh(x + z)]/tau}
+    on the rule (zn, zw), M the row's largest exponent."""
+    rho = np.exp(zn)
+    bracket = (np.asarray(F_eval(rho), dtype=float) - pricing.PI2_HALF
+               + rho * np.cosh(np.add.outer(x, zn)))
+    L = -bracket / tau + mu * zn + np.log(np.asarray(G_eval(rho), dtype=float))
+    M = L.max(axis=-1)
+    return M, np.dot(np.exp(L - M[..., None]), zw)
+
+
+def test_separable_kernel_matches_the_cosh_form(evals_pricing, monkeypatch):
+    # log of the z-sum on each build's 128- and 256-node z rules, over its
+    # x window and its scan: every build of a batch at table3's (tau, mu),
+    # with the ladder's lowest and highest strikes at three of them, which
+    # builds put tails at (0.0025, 3)
+    F6, G6 = evals_pricing
+    builds = []
+
+    class Recording(pricing.Marginal):
+        def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
+            super().__init__(tau, mu, F_eval, G_eval, z_win, scan, free)
+            builds.append((self, z_win, scan, free))
+
+    monkeypatch.setattr(pricing, "Marginal", Recording)
+    scenarios = list(TABLE3_SCENARIOS) + [
+        Scenario(s.S0, s.r, s.sigma, s.T, K)
+        for s in TABLE3_SCENARIOS[0:5:2] for K in (1.6, 2.4)]
+    price_scenarios(scenarios, F6, G6, with_put=True)
+    first = ReducedParams.from_scenario(TABLE3_SCENARIOS[0])
+    assert any((m.tau, m.mu, free) == (first.tau, first.mu, (True, False))
+               for m, _, _, free in builds)
+    assert len({(m.tau, m.mu) for m, _, _, _ in builds}) == 5
+    for m, z_win, scan, _ in builds:
+        x = np.linspace(min(m.lo, scan[0]), max(m.hi, scan[1]), 97)
+        for n in (128, 256):
+            zn, zw = gauss_legendre_nodes(*z_win, n)
+            kernel = pricing._z_kernel(m.tau, m.mu, F6, G6)
+            M, S = pricing._z_sums(x, *kernel(zn), zw, m.tau)
+            M0, S0 = _z_sums_cosh(x, zn, zw, m.tau, m.mu, F6, G6)
+            err = np.abs(M + np.log(S) - M0 - np.log(S0)).max()
+            assert err <= 1e-12, (m.tau, m.mu, scan, n, err)
 
 
 def _oracle_2d(tau, mu, k, payoff, F_eval, G_eval, n=384):
