@@ -64,6 +64,15 @@ def _emit_rows(header, rows, fmt, out, precision):
         _write_out("\n".join(lines) + "\n", out)
 
 
+def _order_too_small(order: int, family: str, min_order: int) -> bool:
+    """Report an order below the family's minimum on stderr."""
+    if order >= min_order:
+        return False
+    print(f"error: order {order} too small for family {family} "
+          f"(need >= {min_order})", file=sys.stderr)
+    return True
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_coeffs(args) -> int:
@@ -72,10 +81,7 @@ def cmd_coeffs(args) -> int:
 
     n = args.order
     fam = args.family
-    min_order = 2 if fam.startswith("jbs") else 1
-    if n < min_order:
-        print(f"error: order {n} too small for family {fam} "
-              f"(need >= {min_order})", file=sys.stderr)
+    if _order_too_small(n, fam, 2 if fam.startswith("jbs") else 1):
         return EXIT_USAGE
     builders = {
         "h": lambda: tables.coeffs_h(n),
@@ -134,6 +140,9 @@ def cmd_constants(args) -> int:
 def cmd_asympt(args) -> int:
     from .asympt import diagnostic_epsilon
 
+    # the diagnostics start at n = 2, so a smaller order has no rows
+    if _order_too_small(args.order, args.family, 2):
+        return EXIT_USAGE
     rows = diagnostic_epsilon(args.family, args.order)
     _emit_rows(("n", "coeff_exact", "coeff_asympt", "epsilon", "trig_factor"),
                rows, args.format, args.out, args.precision)

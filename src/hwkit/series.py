@@ -138,7 +138,8 @@ def _append_scaled(rows, den, qs):
 
     Every row is held over the one common denominator den.  Returns the
     new one: when some q's denominator does not divide den, every row is
-    rescaled once by lcm // den.
+    rescaled once by lcm // den, also the rows past len(qs), which get
+    nothing appended.
     """
     lcm = den
     for q in qs:

@@ -9,18 +9,30 @@ application functions are kernels of Q evaluated at h:
     prefactor kernel   G(z) = sqrt(z) / sqrt(Q(z) - 1)
 
 No table reverts g or composes with h.  From 2z g' = g(Q - 1) and the
-Riccati equation 2zQ' = Q - Q^2 + z, U = Q(h) - 1 and V = Q(h/4) - 1
-satisfy, with theta = x d/dx,
+Riccati equation 2zQ' = Q - Q^2 + z, U = Q(h) - 1 satisfies, with
+theta = x d/dx,
 
-    theta h * U = 2h,   theta U * U = h - U - U^2,   theta V * U = h/4 - V - V^2
+    theta h * U = 2h,   theta U * U = h - U - U^2
 
-and h_1 = 6, U_1 = 2, V_1 = 1/2.  theta is d/dy in y = log x and
-(1+w) d/dw in w = x - 1 ("omega variable").  Order by order this is a
-2x2 linear system for (h_n, U_n), then V_n (Brent & Kung, J. ACM 25
-(1978) section 5), solved by _riccati in O(n^2) integer products.  The
-tables are linear in h, U, V: J(h) = h/2 - 2U + 2V, F(h) = h/2 - U +
-(pi^2/2 - 1), and G(h) = sqrt(h/U) = sqrt(3) sqrt(theta h / 6), so G
-takes h in y one order higher.
+and h_1 = 6, U_1 = 2.  theta is d/dy in y = log x and (1+w) d/dw in
+w = x - 1 ("omega variable").  Divided by U, with the first equation,
+the second is linear:
+
+    theta U + U = theta h / 2 - 1.
+
+V = Q(h/4) - 1 needs no equation of its own: the doubling identity
+2Q(z) - 2Q(z/4) = sqrt(z) tanh(sqrt z / 2) = Q(z) - 1/g(z) holds at z = h,
+where g(h) = x, so
+
+    V = (U - 1 + 1/x) / 2,
+
+which is D (1 + V) = h/4 for D = U - V solved in closed form.  Order by
+order the one nonlinear term is theta h * U (Brent & Kung, J. ACM 25
+(1978) section 5), so _riccati takes one integer dot product per order,
+O(n^2) integer products in all.  The tables are linear in h, U, V:
+J(h) = h/2 - 2U + 2V, F(h) = h/2 - U + (pi^2/2 - 1), and G(h) =
+sqrt(h/U) = sqrt(3) sqrt(theta h / 6), so G takes h in y one order
+higher.
 
 Variable conventions (this bites -- see coeffs_F below):
 
@@ -41,7 +53,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .series import (DEFAULT_MAX_ORDER, OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1,
                      RationalSeries, SeriesError, _append_scaled, revert_series,
@@ -55,45 +67,42 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _theta(nums, n, shift):
-    """theta a at orders 1 .. n-1, as numerators, with the unknown a_n as 0."""
-    t = [(i + 1) * nums[i + 1] for i in range(1, n - 1)]
-    t.append(0)
-    if shift:
-        t = [c + i * a for i, (c, a) in enumerate(zip(t, nums[1:n]), 1)]
-    return t
-
-
 def _riccati(order: int, shift: int):
     """Numerators of h, U and V to at least `order`, and their common denominator.
 
-    shift 0 solves in y = log x, shift 1 in w = x - 1.  The three series
-    so far are integers over one running denominator D.  At order n the
-    known part of each equation is one integer dot product of numerators:
+    shift 0 solves in y = log x, shift 1 in w = x - 1.  The series so far
+    are integers over one running denominator den, and so is theta h,
+    kept as a row beside them.  With b = shift (n-1), order n of
+    theta h * U = 2h and order n-1 of theta U + U = theta h/2 - 1 read
 
-        s1 = sum theta h_i U_{n-i},   s2 = sum (theta U_i + U_i) U_{n-i},
-        s3 = sum theta V_i U_{n-i} + V_i V_{n-i}      (0 < i < n, a_n as 0)
+        2 theta h_{n-1} + 6 U_n + s/den^2 = 2 h_n,
+        n U_n + (1 + b) U_{n-1} = theta h_{n-1} / 2,
 
-    and the unknowns follow with one rational each:
+    with s = sum_{i=1}^{n-2} theta h_i U_{n-i} the one integer dot product,
+    theta h_0 = 6 and U_1 = 2.  As theta h_{n-1} = n h_n + b h_{n-1},
 
-        (2n-2) h_n + 6 U_n = -s1/D^2,   -h_n + (2n+3) U_n = -s2/D^2,
-        (2n+1) V_n = h_n/4 - U_n/2 - s3/D^2.
+        (2n+1) theta h_{n-1} = 6 (1 + b) U_{n-1} - 2b h_{n-1} - n s/den^2,
+
+    and h_n and U_n follow.  V_n = (U_n + (-1)^n / f)/2, where f = n! in
+    y and 1 in w: 1/x is e^-y or 1/(1+w).
     """
-    nums = [0, 12], [0, 4], [0, 1]          # h_1 = 6, U_1 = 2, V_1 = 1/2
-    den = 2
+    nums = [0, 12], [0, 4], [0, 1], [12]   # h, U, V; theta h_0 = h_1
+    nh, nu, nv, th = nums
+    den, f = 2, 1                           # h_1 = 6, U_1 = 2, V_1 = 1/2
     for n in range(2, order + 1):
-        nh, nu, nv = nums
-        ru = nu[n - 1:0:-1]
-        s1 = sum(map(mul, _theta(nh, n, shift), ru))
-        s2 = sum(map(mul, map(add, _theta(nu, n, shift), nu[1:n]), ru))
-        s3 = (sum(map(mul, _theta(nv, n, shift), ru))
-              + sum(map(mul, nv[1:n], nv[n - 1:0:-1])))
-        d = 2 * n * (2 * n + 1) * den * den
-        new = (Fraction(6 * s2 - (2 * n + 3) * s1, d),
-               Fraction(-s1 - (2 * n - 2) * s2, d),
-               Fraction(2 * s2 - s1 - 8 * n * s3, 4 * d))
+        b = shift * (n - 1)
+        if not shift:
+            f *= n
+        s = sum(map(mul, th[1:], nu[n - 1:1:-1]))
+        q = (2 * n + 1) * den               # theta h_{n-1} = t / (q den)
+        t = 6 * (1 + b) * den * nu[n - 1] - 2 * b * den * nh[n - 1] - n * s
+        u = t - 2 * (1 + b) * q * nu[n - 1]   # U_n = u / (2n q den)
+        d = n * q * den
+        new = (Fraction(t - b * q * nh[n - 1], d), Fraction(u, 2 * d),
+               Fraction(u * f + (-1) ** n * 2 * d, 4 * d * f))
         den = _append_scaled(nums, den, new)
-    return nums, den
+        th.append(n * nh[n] + b * nh[n - 1])
+    return (nh, nu, nv), den
 
 
 def _series(nums, den, order, offset=OFFSET_NONE) -> RationalSeries:

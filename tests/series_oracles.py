@@ -1,7 +1,9 @@
-"""Closed-form series and kernels, kept as oracles for the exact tables.
+"""Closed-form series and a reference solve, kept as oracles for the exact tables.
 
-hwkit.tables builds its tables from the Riccati recurrences that h, Q(h)
-and Q(h/4) satisfy.  The series here come from the definitions instead:
+hwkit.tables builds its tables from the Riccati recurrences that h and
+Q(h) satisfy, with U = Q(h) - 1 from a linear recurrence and
+V = Q(h/4) - 1 = (U - 1 + 1/x)/2 in closed form.  The series here come
+from the definitions instead:
 plain rational series of the hyperbolics, divided with the series
 algebra of hwkit.series.  Tests compose them with the tables and compare
 coefficient by coefficient.
@@ -11,13 +13,20 @@ coefficient by coefficient.
     rate kernel        J(z) = z/2 - sqrt(z) tanh(sqrt z / 2) = z/2 - 2Q(z) + 2Q(z/4)
     exponent kernel    F(z) = z/2 - Q(z) + pi^2/2
     prefactor kernel   G(z) = sqrt(z) / sqrt(Q(z) - 1)
+
+riccati_three_equations is the earlier solve of the tables: all three
+Riccati equations, V's included, order by order with theta applied to
+each row, four dot products per order.  Tests compare the solve in
+hwkit.tables with it at the order cap.
 """
 
+from fractions import Fraction
 from math import factorial
+from operator import add, mul
 
 from hwkit.rational import ONE, ZERO, rat
 from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
-                          series_div, series_sqrt)
+                          _append_scaled, series_div, series_sqrt)
 
 
 def sinhc_series(order: int) -> RationalSeries:
@@ -90,3 +99,48 @@ def prefactor_kernel_series(order: int) -> RationalSeries:
     built one order higher.
     """
     return _prefactor_kernel(sqrt_coth_series(order + 1))
+
+
+def _theta(nums, n, shift):
+    """theta a at orders 1 .. n-1, as numerators, with the unknown a_n as 0."""
+    t = [(i + 1) * nums[i + 1] for i in range(1, n - 1)]
+    t.append(0)
+    if shift:
+        t = [c + i * a for i, (c, a) in enumerate(zip(t, nums[1:n]), 1)]
+    return t
+
+
+def riccati_three_equations(order: int, shift: int):
+    """Numerators of h, U and V to `order`, and their common denominator.
+
+    Solves, with theta = d/dy (shift 0) or (1+w) d/dw (shift 1),
+
+        theta h * U = 2h,   theta U * U = h - U - U^2,   theta V * U = h/4 - V - V^2
+
+    from h_1 = 6, U_1 = 2, V_1 = 1/2.  The series are integers over one
+    running denominator D, and at order n the known part of each equation
+    is one integer dot product (0 < i < n, a_n as 0):
+
+        s1 = sum theta h_i U_{n-i},   s2 = sum (theta U_i + U_i) U_{n-i},
+        s3 = sum theta V_i U_{n-i} + V_i V_{n-i}
+
+    and the unknowns follow with one rational each:
+
+        (2n-2) h_n + 6 U_n = -s1/D^2,   -h_n + (2n+3) U_n = -s2/D^2,
+        (2n+1) V_n = h_n/4 - U_n/2 - s3/D^2.
+    """
+    nums = [0, 12], [0, 4], [0, 1]          # h_1 = 6, U_1 = 2, V_1 = 1/2
+    den = 2
+    for n in range(2, order + 1):
+        nh, nu, nv = nums
+        ru = nu[n - 1:0:-1]
+        s1 = sum(map(mul, _theta(nh, n, shift), ru))
+        s2 = sum(map(mul, map(add, _theta(nu, n, shift), nu[1:n]), ru))
+        s3 = (sum(map(mul, _theta(nv, n, shift), ru))
+              + sum(map(mul, nv[1:n], nv[n - 1:0:-1])))
+        d = 2 * n * (2 * n + 1) * den * den
+        new = (Fraction(6 * s2 - (2 * n + 3) * s1, d),
+               Fraction(-s1 - (2 * n - 2) * s2, d),
+               Fraction(2 * s2 - s1 - 8 * n * s3, 4 * d))
+        den = _append_scaled(nums, den, new)
+    return nums, den

@@ -81,6 +81,16 @@ def test_asympt_diagnostics(capsys):
     assert len(lines) == 30  # n = 2..30
 
 
+@pytest.mark.parametrize("family,order", [("dF", "0"), ("c", "1"), ("dJ", "-3")])
+def test_asympt_order_too_small_is_a_usage_error(capsys, family, order):
+    # the rows start at n = 2: a smaller order is refused like coeffs's,
+    # not answered with a bare CSV header
+    code, out, err = run_cli(capsys, "asympt", family, order)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"order {order} too small for family {family}" in err
+
+
 def test_theta_both_methods(capsys):
     code1, out1, _ = run_cli(capsys, "theta", "2.0", "0.5", "quadrature")
     code2, out2, _ = run_cli(capsys, "theta", "2.0", "0.5", "asymptotic")

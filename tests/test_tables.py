@@ -7,12 +7,13 @@ import pytest
 
 from hwkit import tables
 from hwkit.rational import rat
-from hwkit.series import SeriesError, series_compose, series_mul, series_to_text
+from hwkit.series import (DEFAULT_MAX_ORDER, RationalSeries, SeriesError,
+                          series_compose, series_mul, series_to_text)
 from hwkit.tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
                           flip_odd_signs, natural_table)
 from series_oracles import (exponent_kernel_series, expm1_series,
                             prefactor_kernel_series, rate_kernel_series,
-                            sinhc_series)
+                            riccati_three_equations, sinhc_series)
 
 # the standard printed tables these generators must reproduce exactly
 H_FIRST = ["0", "6", "-9/5", "144/175"]
@@ -96,6 +97,45 @@ def test_tables_are_fraction_over_int():
     nums, den = tables._riccati(20, 0)
     assert {type(c) for row in nums for c in row} == {int}
     assert type(den) is int
+
+
+@pytest.mark.parametrize("order,shift", [(DEFAULT_MAX_ORDER + 1, 0),
+                                         (DEFAULT_MAX_ORDER, 1)])
+def test_riccati_equals_the_three_equation_solve(order, shift):
+    # the orders the log (G one order higher) and omega tables solve to at
+    # the cap; the order-100 digests stop short of them
+    (h, u, v), den = tables._riccati(order, shift)
+    (h0, u0, v0), den0 = riccati_three_equations(order, shift)
+    for row, ref in ((h, h0), (u, u0), (v, v0)):
+        assert len(row) == len(ref) == order + 1
+        assert [Fraction(c, den) for c in row] == [Fraction(c, den0) for c in ref]
+
+
+def _theta_series(a, shift):
+    """theta a to one order below a: d/dy (shift 0) or (1+w) d/dw (shift 1)."""
+    c = a.coeffs
+    return RationalSeries(tuple((m + 1) * c[m + 1] + shift * m * c[m]
+                                for m in range(a.order)))
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_riccati_rows_satisfy_the_riccati_identities(shift):
+    # U comes from the linear theta U + U = theta h/2 - 1 and V from
+    # V = (U - 1 + 1/x)/2: both must still solve the Riccati equations they
+    # are no longer taken from, and D = U - V the doubling D (1 + V) = h/4
+    n = 60
+    (h, u, v), den = tables._riccati(n + 1, shift)
+    h, u, v = (RationalSeries(tuple(Fraction(c, den) for c in row))
+               for row in (h, u, v))
+    h4 = RationalSeries(tuple(c / 4 for c in h.coeffs)).truncate(n)
+    one_v = RationalSeries((Fraction(1),) + v.coeffs[1:])
+    d = RationalSeries(tuple(a - b for a, b in zip(u.coeffs, v.coeffs)))
+    assert series_mul(d, one_v).truncate(n) == h4
+    for w, z in ((u, h), (v, h4)):                   # theta W * U = z - W - W^2
+        ww = series_mul(w, w)
+        rhs = RationalSeries(tuple(a - b - c for a, b, c
+                                   in zip(z.coeffs, w.coeffs, ww.coeffs)))
+        assert series_mul(_theta_series(w, shift), u) == rhs.truncate(n)
 
 
 def test_G_squared_matches_its_definition():
