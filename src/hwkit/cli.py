@@ -152,6 +152,10 @@ def cmd_asympt(args) -> int:
 def cmd_density(args) -> int:
     from .pricing import default_evaluators, f0_density, norm_direct
 
+    if args.a is None and args.grid[2] < 1:
+        print(f"error: --grid needs N >= 1 points, got {args.grid[2]:g}",
+              file=sys.stderr)
+        return EXIT_USAGE
     F_eval, G_eval = default_evaluators(args.order)
     norm = norm_direct(args.t, args.mu, F_eval, G_eval)
     if args.a:
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("density", help="leading density f0 on a grid")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--a", type=float, nargs="*", default=None)
+    sp.add_argument("--a", type=float, nargs="+", default=None)
     sp.add_argument("--grid", type=float, nargs=3, default=(0.5, 2.0, 21),
                     metavar=("LO", "HI", "N"))
     sp.add_argument("--order", type=int, default=6)

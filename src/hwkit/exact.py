@@ -1,10 +1,10 @@
 """Closed-form evaluation of F, G and J_BS, plus the critical-point table.
 
 These are the ground-truth oracles for the series evaluators.  Each value
-costs one transcendental root solve:
+costs one transcendental root solve (hwkit.roots):
 
-    J_BS(x) = xi^2/2 - xi tanh(xi/2)          sinh(xi)/xi  = x   (x >= 1)
-            = zeta tan(zeta/2) - zeta^2/2     sin(zeta)/zeta = x (x <= 1)
+    J_BS(x) = xi^2/2 - xi tanh(xi/2)          sinh(xi)/xi = x     (x > 1)
+            = (pi-lambda) cot(lambda/2) - (pi-lambda)^2/2   rho = 1/x  (x < 1)
 
     F(rho)  = kappa^2/2 - kappa/tanh(kappa) + pi^2/2    (rho < 1)
             = -lambda^2/2 + (pi-lambda)/tan(lambda) + pi lambda  (rho > 1)
@@ -13,14 +13,15 @@ costs one transcendental root solve:
             = rho sin(lambda)/sqrt(1 + rho cos(lambda)) (rho > 1)
 
 with kappa solving rho sinh(kappa)/kappa = 1 and lambda in (0, pi) solving
-lambda + rho sin(lambda) = pi.  All three functions are smooth across the
-expansion point rho = x = 1 but the formulas degenerate there (0/0 in
-kappa/tanh kappa, (pi-lambda)/tan lambda), so inside |log rho| < 1e-3 the
-evaluation switches to the exact Taylor tables, which are error-free at
-the expansion point and agree with the closed forms to ~1e-12 across the
-overlap.  `target_table` is the one map from a target name to its float
-table, offset and prefactor; the evaluators in hwkit.evaluate read it
-too.  Arguments that are not positive and finite raise ValueError.
+lambda + rho sin(lambda) = pi.  The formulas degenerate at the expansion
+point rho = x = 1 (0/0 in kappa/tanh kappa, and J_BS ~ xi^4/24 is a
+difference of terms of size xi^2/2), so inside |log rho| < SERIES_GUARD
+each target is its exact order-24 Taylor table (truncation error there
+under 1e-47); outside, the sweep against 40-digit mpmath holds 1e-13.
+The three share one dispatch and take a float or an array (a float back
+for a scalar).  `target_table` maps a target name to its float table,
+offset and prefactor; hwkit.evaluate reads it too.  Arguments that are
+not positive and finite raise ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import tables
 from .roots import solve_kappa, solve_lambda, solve_tan_eta, solve_xi, solve_zeta
 from .series import OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1
@@ -36,8 +39,12 @@ from .series import OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1
 PI2_HALF = math.pi * math.pi / 2.0
 
 # |log rho| below which closed forms are replaced by the local series.
-SERIES_GUARD = 1e-3
+SERIES_GUARD = 0.05
 _GUARD_ORDER = 24
+
+# perfbench/tracing.py wraps solve_zeta on this module; J_BS calls
+# solve_lambda(1/x) instead, so it stays bound here.
+_TRACED = (solve_zeta,)
 
 # exact Taylor table of each target in y = log(rho), looked up at call time
 _TABLES = {
@@ -70,48 +77,56 @@ def series_value(coeffs, offset: float, prefactor: float, y):
     return prefactor * acc + offset
 
 
-def _checked_log(name: str, x: float) -> float:
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} needs a positive finite argument, got {x!r}")
-    return math.log(x)
+def _dispatch(name: str, x, below, above):
+    """Target `name` at x: its guard series where |log x| < SERIES_GUARD,
+    and off it, with (solve, formula) = below under 1 and above over 1,
+    formula(solve(x))."""
+    x = np.asarray(x, dtype=float)
+    if not ((0.0 < x) & (x < np.inf)).all():
+        raise ValueError(f"{name}_exact needs positive finite arguments")
+    y = np.log(x)
+    near = np.abs(y) < SERIES_GUARD
+    out = np.empty(x.shape)
+    if near.any():
+        out[near] = series_value(*target_table(name, _GUARD_ORDER), y[near])
+    for part, (solve, formula) in ((~near & (y < 0.0), below),
+                                   (~near & (y > 0.0), above)):
+        if part.any():
+            out[part] = formula(solve(x[part]))
+    return out if out.ndim else float(out)
 
 
-def JBS_exact(x: float) -> float:
+def JBS_exact(x):
     """Small-maturity decay rate of the time-averaged gBM density at x."""
-    y = _checked_log("JBS_exact", x)
-    if abs(y) < SERIES_GUARD:
-        return series_value(*target_table("JBS", _GUARD_ORDER), y)
-    if x >= 1.0:
-        xi = solve_xi(x)
-        return 0.5 * xi * xi - xi * math.tanh(0.5 * xi)
-    zeta = solve_zeta(x)
-    return zeta * math.tan(0.5 * zeta) - 0.5 * zeta * zeta
+    return _dispatch(
+        "JBS", x,
+        (lambda x: solve_lambda(1.0 / x),
+         lambda lam: (np.pi - lam) / np.tan(0.5 * lam) - 0.5 * (np.pi - lam) ** 2),
+        (solve_xi, lambda xi: 0.5 * xi * xi - xi * np.tanh(0.5 * xi)))
 
 
-def F_exact(rho: float) -> float:
+def F_exact(rho):
     """Exponent function of the small-time Hartman-Watson expansion."""
-    y = _checked_log("F_exact", rho)
-    if abs(y) < SERIES_GUARD:
-        return series_value(*target_table("F", _GUARD_ORDER), y)
-    if rho < 1.0:
-        kappa = solve_kappa(rho)
-        return 0.5 * kappa * kappa - kappa / math.tanh(kappa) + PI2_HALF
-    lam = solve_lambda(rho)
-    return -0.5 * lam * lam + (math.pi - lam) / math.tan(lam) + math.pi * lam
+    return _dispatch(
+        "F", rho,
+        (solve_kappa, lambda kappa: 0.5 * kappa * kappa - kappa / np.tanh(kappa)
+         + PI2_HALF),
+        (solve_lambda, lambda lam: -0.5 * lam * lam + (np.pi - lam) / np.tan(lam)
+         + np.pi * lam))
 
 
-def G_exact(rho: float) -> float:
-    """Prefactor function of the small-time Hartman-Watson expansion."""
-    y = _checked_log("G_exact", rho)
-    if abs(y) < SERIES_GUARD:
-        return series_value(*target_table("G", _GUARD_ORDER), y)
-    if rho < 1.0:
-        kappa = solve_kappa(rho)
-        # At the root rho sinh(kappa) = kappa, so rho cosh(kappa) equals
-        # kappa/tanh(kappa); this form never overflows at tiny rho.
-        return kappa / math.sqrt(kappa / math.tanh(kappa) - 1.0)
-    lam = solve_lambda(rho)
-    return rho * math.sin(lam) / math.sqrt(1.0 + rho * math.cos(lam))
+def G_exact(rho):
+    """Prefactor function of the small-time Hartman-Watson expansion.
+
+    At the roots rho sinh(kappa) = kappa and rho sin(lambda) = pi - lambda,
+    so rho cosh(kappa) is kappa/tanh(kappa) and rho cos(lambda) is
+    (pi - lambda)/tan(lambda); in these forms no rho overflows.
+    """
+    return _dispatch(
+        "G", rho,
+        (solve_kappa, lambda kappa: kappa / np.sqrt(kappa / np.tanh(kappa) - 1.0)),
+        (solve_lambda, lambda lam: (np.pi - lam)
+         / np.sqrt(1.0 + (np.pi - lam) / np.tan(lam))))
 
 
 @dataclass(frozen=True)
@@ -143,10 +158,9 @@ class CriticalPointTable:
 def critical_points(count: int = 5) -> CriticalPointTable:
     if count < 1:
         raise ValueError("count must be >= 1")
-    entries = []
-    for k in range(1, count + 1):
-        eta = solve_tan_eta(k)
-        entries.append((k, eta, -eta * eta, math.sin(eta) / eta))
+    etas = solve_tan_eta(np.arange(1, count + 1)).tolist()
+    entries = [(k, eta, -eta * eta, math.sin(eta) / eta)
+               for k, eta in enumerate(etas, start=1)]
     omega1 = entries[0][3]
     log_w1 = math.log(abs(omega1))
     rho_x = math.hypot(log_w1, math.pi)

@@ -1,22 +1,27 @@
-"""Bracketed solvers for the transcendental equations behind F, G and J_BS.
+"""Safeguarded Newton solvers for the transcendental equations behind F, G and J_BS.
 
-F, G and J_BS rest on two equations only: sinh(x)/x = c (solve_xi, and
-solve_kappa(rho) = solve_xi(1/rho)) and sin(x)/x = c (solve_zeta, and
-solve_lambda(rho) = pi - solve_zeta(1/rho)).  solve_tan_eta gives the
-critical points.  Every equation is solved the same way: an analytically
-safe bracket, bisection until Newton is trustworthy, then Newton polish to
-_ABS_TOL in at most _MAX_ITER steps.  No starting guesses, no convergence
-luck.  The sinh equation moves to the log domain above xi = 30 to dodge
-overflow.  Non-finite or out-of-domain arguments raise ValueError.
+F, G and J_BS rest on two equations only: sinh(xi)/xi = x (solve_xi, and
+solve_kappa(rho) = solve_xi(1/rho)), solved in the log domain, and
+lambda + rho sin(lambda) = pi (solve_lambda, and solve_zeta(x) =
+pi - solve_lambda(1/x)), solved in lambda, which goes to 0 as rho grows,
+so no digits are lost to pi minus a number near pi.  solve_tan_eta gives
+the critical points.
+
+Every solver takes a float or an array (a float back for a scalar) and
+runs on one loop, `_newton`: an analytic bracket and a start inside it,
+Newton steps, and bisection for a step that leaves the bracket, until a
+step is under _ABS_TOL, in at most _MAX_ITER steps.  Each element keeps
+its first converged iterate, so no value depends on the rest of its
+array.  Non-finite or out-of-domain arguments raise ValueError.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
+import numpy as np
 
 _ABS_TOL = 1e-14
 _MAX_ITER = 100
+_PI_LO = 1.2246467991473532e-16     # pi - np.pi
 
 
 class RootSolveError(RuntimeError):
@@ -28,148 +33,126 @@ class RootSolveError(RuntimeError):
         self.residual = residual
 
 
-def _bisect_newton(f, df, lo, hi) -> float:
-    """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi) (or flipped)."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise RootSolveError(f"root not bracketed on [{lo}, {hi}]",
-                             last_iterate=lo, residual=flo)
-    sign = 1.0 if fhi > 0 else -1.0
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if sign * fm >= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-4 * (1.0 + abs(mid)):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        fx = f(x)
-        d = df(x)
-        if d == 0:
-            break
-        step = fx / d
-        xn = x - step
-        if not (lo <= xn <= hi):  # fall back to bisection inside the bracket
-            if sign * fx > 0:
-                hi = x
-            else:
-                lo = x
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= _ABS_TOL * (1.0 + abs(xn)):
-            return xn
-        x = xn
-    fx = f(x)
-    if abs(fx) <= 1e3 * _ABS_TOL:
-        return x
-    raise RootSolveError("Newton polish failed to converge",
-                         last_iterate=x, residual=fx)
+def _newton(fdf, c, lo, hi, t):
+    """Elementwise root of f(., c) in [lo, hi], from t inside the bracket.
 
-
-def _sinhc(x: float) -> float:
-    return math.sinh(x) / x if x != 0 else 1.0
-
-
-def solve_xi(x: float) -> float:
-    """xi >= 0 with sinh(xi)/xi = x, for x >= 1.
-
-    Above xi = 30 the residual is formed as log(sinh xi) - log(xi x) =
-    xi + log1p(-e^{-2 xi}) - log 2 - log(xi x), which is overflow-free for
-    arbitrarily large x.
+    fdf(t, c) gives (f, f') on 1-D arrays, f increasing on the bracket:
+    f(lo) <= 0 <= f(hi) and f' > 0.  The four arrays share one shape; an
+    element with lo == hi is its own root.
     """
-    if not 1.0 <= x < math.inf:
+    shape = np.shape(t)
+    c, lo, hi, t = (np.ravel(a) for a in (c, lo, hi, t))
+    root = lo.copy()
+    i = np.flatnonzero(lo < hi)
+    c, lo, hi, t = c[i], lo[i], hi[i], t[i]
+    for _ in range(_MAX_ITER):
+        if not i.size:
+            return root.reshape(shape) if shape else float(root[0])
+        f, df = fdf(t, c)
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        tn = t - f / df
+        tn = np.where((lo <= tn) & (tn <= hi), tn, 0.5 * (lo + hi))
+        done = np.abs(tn - t) <= _ABS_TOL * (1.0 + np.abs(tn))
+        root[i[done]] = tn[done]
+        i, c, lo, hi, t = (a[~done] for a in (i, c, lo, hi, tn))
+    raise RootSolveError(f"Newton did not converge in {_MAX_ITER} steps",
+                         last_iterate=t, residual=fdf(t, c)[0])
+
+
+def _sinh_fdf(t, y):
+    # log(sinh(t)/t) - y, overflow-free for any t > 0
+    return (t + np.log(-np.expm1(-2.0 * t) / (2.0 * t)) - y,
+            np.where(t < 1e-4, t / 3.0, 1.0 / np.tanh(t) - 1.0 / t))
+
+
+def _sinh_root(y):
+    """xi >= 0 with log(sinh(xi)/xi) = y >= 0.
+
+    sinh(t)/t <= exp(t^2/6) bounds xi below by sqrt(6 y), and Lazarevic's
+    (sinh(t)/t)^3 >= cosh(t) bounds it above by acosh(e^{3y}).
+    """
+    lo = np.sqrt(6.0 * y)
+    hi = 3.0 * y + np.log1p(np.sqrt(-np.expm1(-6.0 * y)))
+    return _newton(_sinh_fdf, y, lo, hi, np.clip(y + np.log1p(2.0 * y), lo, hi))
+
+
+def _sin_fdf(lam, c):
+    # sin(lambda) - c (pi - lambda): the sin equation divided by rho = 1/c
+    d = (np.pi - lam) + _PI_LO
+    return np.sin(lam) - c * d, (c - 1.0) + 2.0 * np.sin(0.5 * d) ** 2
+
+
+def _lambda(rho):
+    """lambda in (0, pi] with lambda + rho sin(lambda) = pi, for rho >= 1.
+
+    With d = pi - lambda and c = 1/rho the root solves sin(d)/d = c.
+    sin(d)/d <= 1 - d^2/pi^2 (the first factor of its product) bounds
+    lambda below by pi (1 - sqrt(1 - c)), and sin(d)/d >= 1 - d^2/6 bounds
+    it above by pi - sqrt(6 (1 - c)); both meet at pi when rho = 1.  The
+    start is that upper bound below rho = 2, and above it pi / (1 + rho), a
+    lower bound from sin(lambda) <= lambda that is tight as lambda -> 0.
+    """
+    c = 1.0 / rho
+    lo = np.pi * c / (1.0 + np.sqrt(1.0 - c))
+    hi = np.pi - np.sqrt(6.0 * (1.0 - c))
+    return _newton(_sin_fdf, c, lo, hi, np.where(rho < 2.0, hi, np.pi / (1.0 + rho)))
+
+
+def solve_xi(x):
+    """xi >= 0 with sinh(xi)/xi = x, for 1 <= x < inf."""
+    x = np.asarray(x, dtype=float)
+    if not ((1.0 <= x) & (x < np.inf)).all():
         raise ValueError("solve_xi needs 1 <= x < inf")
-    if x == 1.0:
-        return 0.0
-    lx = math.log(x)
-
-    def f(t):
-        if t <= 30.0:
-            return math.log(_sinhc(t)) - lx
-        return t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0) - math.log(t) - lx
-
-    def df(t):
-        if t < 1e-4:
-            return t / 3.0
-        return 1.0 / math.tanh(t) - 1.0 / t
-
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            raise RootSolveError("upper bracket growth failed", last_iterate=hi)
-    xi = _bisect_newton(f, df, lo, hi)
-    return max(xi, 0.0)
+    return _sinh_root(np.log(x))
 
 
-def solve_zeta(x: float) -> float:
-    """zeta in [0, pi] with sin(zeta)/zeta = x, for 0 < x <= 1.
+def solve_kappa(rho):
+    """kappa > 0 with rho sinh(kappa)/kappa = 1, for 0 < rho < 1.
 
-    sin(z)/z decreases from 1 to 0 on [0, pi]; x -> 0+ pushes the root to
-    pi.
+    This is solve_xi(1/rho), solved in log(1/rho) = -log(rho) so that no
+    tiny rho overflows 1/rho.
     """
-    if not 0.0 < x <= 1.0:
-        raise ValueError("solve_zeta needs 0 < x <= 1")
-    if x == 1.0:
-        return 0.0
-
-    def f(t):
-        if t < 1e-8:
-            return (x - 1.0) + t * t / 6.0
-        return x - math.sin(t) / t
-
-    def df(t):
-        if t < 1e-8:
-            return t / 3.0
-        return (math.sin(t) / t - math.cos(t)) / t
-
-    return _bisect_newton(f, df, 0.0, math.pi)
-
-
-def solve_kappa(rho: float) -> float:
-    """kappa >= 0 with rho sinh(kappa)/kappa = 1, for 0 < rho < 1.
-
-    This is sinh(kappa)/kappa = 1/rho; for tiny rho the root grows like
-    log(2/rho) + log log(2/rho), which the doubling bracket reaches in a
-    handful of steps.
-    """
-    if not 0.0 < rho < 1.0:
+    rho = np.asarray(rho, dtype=float)
+    if not ((0.0 < rho) & (rho < 1.0)).all():
         raise ValueError("solve_kappa needs 0 < rho < 1")
-    return solve_xi(1.0 / rho)
+    return _sinh_root(-np.log(rho))
 
 
-def solve_lambda(rho: float) -> float:
-    """lambda in (0, pi) with lambda + rho sin(lambda) = pi, for rho > 1.
-
-    In delta = pi - lambda the equation reads sin(delta)/delta = 1/rho,
-    with delta = 0 divided out, so delta = solve_zeta(1/rho).
-    """
-    if not 1.0 < rho < math.inf:
+def solve_lambda(rho):
+    """lambda in (0, pi) with lambda + rho sin(lambda) = pi, for 1 < rho < inf."""
+    rho = np.asarray(rho, dtype=float)
+    if not ((1.0 < rho) & (rho < np.inf)).all():
         raise ValueError("solve_lambda needs 1 < rho < inf")
-    return math.pi - solve_zeta(1.0 / rho)
+    return _lambda(rho)
 
 
-def solve_tan_eta(k: int) -> float:
+def solve_zeta(x):
+    """zeta in [0, pi) with sin(zeta)/zeta = x, for 0 < x <= 1.
+
+    zeta = pi - lambda(1/x), the mirror of solve_lambda; x -> 0+ pushes
+    the root to pi, and x = 1 gives 0.
+    """
+    x = np.asarray(x, dtype=float)
+    if not ((0.0 < x) & (x <= 1.0)).all():
+        raise ValueError("solve_zeta needs 0 < x <= 1")
+    return np.pi - _lambda(1.0 / x)
+
+
+def _tan_fdf(t, sign):
+    # sin(t) - t cos(t), which is bounded on the bracket where tan is not,
+    # signed to increase
+    return sign * (np.sin(t) - t * np.cos(t)), sign * t * np.sin(t)
+
+
+def solve_tan_eta(k):
     """k-th positive root of tan(eta) = eta, in (k pi, k pi + pi/2).
 
-    Solved via sin(eta) - eta cos(eta) = 0, which is bounded on the
-    bracket (tan itself blows up at the right endpoint).
+    Starts from the asymptotic q - 1/q - 2/(3 q^3), q = (k + 1/2) pi.
     """
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or not (k >= 1).all():
         raise ValueError("solve_tan_eta needs an integer k >= 1")
-
-    def f(t):
-        return math.sin(t) - t * math.cos(t)
-
-    def df(t):
-        return t * math.sin(t)
-
-    lo = k * math.pi + 1e-9
-    hi = k * math.pi + math.pi / 2.0 - 1e-12
-    return _bisect_newton(f, df, lo, hi)
+    q = (k + 0.5) * np.pi
+    return _newton(_tan_fdf, 1.0 - 2.0 * (k % 2), k * np.pi, q,
+                   q - 1.0 / q - 2.0 / (3.0 * q ** 3))

@@ -63,6 +63,18 @@ def test_eval_json_format(capsys):
     assert float(payload[0]["G"]) == pytest.approx(math.sqrt(3.0), rel=1e-5)
 
 
+@pytest.mark.parametrize("target, arg, want", [
+    ("F", "1e16", 1e16), ("F", "1e17", 1e17),
+    ("G", "1e300", math.pi * 1e-150), ("JBS", "1e-17", 2e17)])
+def test_eval_far_outside_the_window(capsys, target, arg, want):
+    # F ~ rho and G ~ pi/sqrt(rho) as rho -> inf, J_BS ~ 2/x as x -> 0
+    code, out, err = run_cli(capsys, "--precision", "17", "eval", target, arg)
+    assert code == EXIT_OK, err
+    value = float(out.strip().splitlines()[1].split(",")[1])
+    assert math.isfinite(value)
+    assert value == pytest.approx(want, rel=1e-12)
+
+
 def test_constants_output(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == EXIT_OK
@@ -124,6 +136,23 @@ def test_density_grid(capsys):
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(v > 0 for v in vals)
     assert vals[1] == max(vals)
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "0.5"])
+def test_density_grid_without_points_is_a_usage_error(capsys, count):
+    # an empty grid is refused, not answered with a bare CSV header
+    code, out, err = run_cli(capsys, "density", "--t", "0.01", "--mu", "0.0",
+                             "--grid", "0.5", "2", count)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--grid needs N >= 1 points" in err
+
+
+def test_density_a_needs_values(capsys):
+    # a bare --a is refused, not read as "use the default grid"
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--t", "0.01", "--mu", "0.0", "--a"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_price_scenario_file_and_missing_file(tmp_path, capsys):

@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hwkit.exact import (PI2_HALF, F_exact, G_exact, JBS_exact, critical_points,
-                         singularity_distance)
-from hwkit.roots import (solve_kappa, solve_lambda, solve_tan_eta, solve_xi,
-                         solve_zeta)
+from hwkit import roots
+from hwkit.exact import (PI2_HALF, SERIES_GUARD, F_exact, G_exact, JBS_exact,
+                         critical_points, singularity_distance)
+from hwkit.roots import (RootSolveError, solve_kappa, solve_lambda, solve_tan_eta,
+                         solve_xi, solve_zeta)
 from hwkit.tables import coeffs_F, coeffs_G, coeffs_jbs
 
 # printed reference values of the first five critical points
@@ -60,7 +62,10 @@ def test_lambda_limits():
 
 @pytest.mark.parametrize("rho", [1.0001, 1.5, 2.0, math.e ** 8, 1e6])
 def test_lambda_is_pi_minus_zeta_of_inverse(rho):
-    assert solve_lambda(rho) == math.pi - solve_zeta(1.0 / rho)
+    # lambda is the solved variable, so the mirror identity is exact in
+    # this direction: zeta(x) = pi - lambda(1/x)
+    x = 1.0 / rho
+    assert solve_zeta(x) == math.pi - solve_lambda(1.0 / x)
 
 
 def test_xi_zeta_at_one():
@@ -94,6 +99,29 @@ def test_solver_domain_errors():
         solve_kappa(1.5)
     with pytest.raises(ValueError):
         solve_lambda(0.5)
+
+
+def test_solvers_take_arrays_elementwise():
+    # an array solve is the scalar solve at every element, whatever its
+    # neighbours: each element keeps its own first converged iterate
+    rho = np.geomspace(1.0001, 1e12, 23)
+    for solve, arg in ((solve_lambda, rho), (solve_zeta, 1.0 / rho),
+                       (solve_xi, rho), (solve_kappa, 1.0 / rho)):
+        out = solve(arg.reshape(23, 1))
+        assert out.shape == (23, 1)
+        assert out.ravel().tolist() == [solve(float(a)) for a in arg]
+        assert solve(arg[::-1])[::-1].tolist() == out.ravel().tolist()
+    assert solve_tan_eta(np.arange(1, 6)).tolist() == [solve_tan_eta(k)
+                                                        for k in range(1, 6)]
+    assert isinstance(solve_lambda(2.0), float)
+
+
+def test_non_convergence_raises_with_last_iterate(monkeypatch):
+    monkeypatch.setattr(roots, "_MAX_ITER", 1)
+    with pytest.raises(RootSolveError) as exc:
+        solve_lambda(np.array([1.5, 3.0]))
+    assert exc.value.last_iterate.shape == exc.value.residual.shape == (2,)
+    assert np.all((0.0 < exc.value.last_iterate) & (exc.value.last_iterate < math.pi))
 
 
 @given(st.floats(min_value=0.01, max_value=0.999))
@@ -230,3 +258,64 @@ def test_domain_errors():
         G_exact(-1.0)
     with pytest.raises(ValueError):
         JBS_exact(0.0)
+
+
+# -- against 40-digit mpmath ---------------------------------------------------------
+
+def _mp_closed_form(name, r):
+    """F, G or J_BS at the float r, to 40 digits: the paper's formulas at
+    roots that mpmath solves on analytic brackets, sinh(xi)/xi = x in the
+    log domain and sin(zeta)/zeta = x."""
+    with mpmath.workdps(40):
+        r, pi = mpmath.mpf(r), mpmath.pi
+        if r == 1:
+            return {"F": pi ** 2 / 2 - 1, "G": mpmath.sqrt(3), "JBS": mpmath.mpf(0)}[name]
+
+        def xi(x):
+            y = mpmath.log(x)
+            return mpmath.findroot(lambda t: mpmath.log(mpmath.sinh(t) / t) - y,
+                                   (mpmath.sqrt(6 * y), 3 * y + mpmath.log(2)),
+                                   solver="anderson")
+
+        def zeta(x):
+            return mpmath.findroot(lambda t: mpmath.sin(t) / t - x,
+                                   (mpmath.sqrt(6 * (1 - x)), pi / (1 + x)),
+                                   solver="anderson")
+        if name == "JBS":
+            if r > 1:
+                t = xi(r)
+                return t ** 2 / 2 - t * mpmath.tanh(t / 2)
+            t = zeta(r)
+            return t * mpmath.tan(t / 2) - t ** 2 / 2
+        if r < 1:
+            k = xi(1 / r)
+            if name == "F":
+                return k ** 2 / 2 - k / mpmath.tanh(k) + pi ** 2 / 2
+            return r * mpmath.sinh(k) / mpmath.sqrt(r * mpmath.cosh(k) - 1)
+        lam = pi - zeta(1 / r)
+        if name == "F":
+            return -lam ** 2 / 2 + (pi - lam) / mpmath.tan(lam) + pi * lam
+        return r * mpmath.sin(lam) / mpmath.sqrt(1 + r * mpmath.cos(lam))
+
+
+# 401 log-spaced points over 24 decades, and both edges of the series
+# guard band from either side
+_SWEEP = np.concatenate([
+    np.geomspace(1e-12, 1e12, 401),
+    np.exp(np.outer([-1.0, 1.0], [0.5, 0.99, 1.01, 1.2, 2.0]).ravel() * SERIES_GUARD)])
+
+
+@pytest.mark.parametrize("fn", [F_exact, G_exact, JBS_exact], ids=lambda f: f.__name__)
+def test_closed_forms_match_40_digit_mpmath(fn):
+    name = fn.__name__.removesuffix("_exact")
+    want = np.array([float(_mp_closed_form(name, r)) for r in _SWEEP.tolist()])
+    err = np.abs(fn(_SWEEP) - want)
+    worst = int(np.argmax(err / np.maximum(np.abs(want), 1e-300)))
+    assert err[worst] <= 1e-13 * abs(want[worst]), (name, _SWEEP[worst], err[worst])
+
+
+def test_closed_forms_finite_at_the_ends_of_the_double_range():
+    rho = np.array([1e-300, 1e300])
+    for fn in (F_exact, G_exact, JBS_exact):
+        assert np.isfinite(fn(rho)).all()
+    assert (F_exact(rho) > 0).all() and (G_exact(rho) > 0).all()
