@@ -21,12 +21,14 @@ under 1e-47); outside, the sweep against 40-digit mpmath holds 1e-13.
 The three share one dispatch and take a float or an array (a float back
 for a scalar).  `target_table` maps a target name to its float table,
 offset and prefactor; hwkit.evaluate reads it too.  Arguments that are
-not positive and finite raise ValueError.
+not positive and finite raise ValueError, and so does J_BS at x <= 2/DBL_MAX,
+where its value ~ 2/x overflows a double.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +55,8 @@ _TABLES = {
     "JBS": lambda order: tables.coeffs_jbs(max(order, 2), "log"),
 }
 TARGETS = tuple(_TABLES)
+# J_BS(x) ~ 2/x overflows a double at and below this x
+_JBS_X_MIN = 2.0 / sys.float_info.max
 _OFFSET_VALUES = {OFFSET_NONE: 0.0, OFFSET_PI2_HALF_MINUS_1: PI2_HALF - 1.0}
 
 
@@ -77,13 +81,17 @@ def series_value(coeffs, offset: float, prefactor: float, y):
     return prefactor * acc + offset
 
 
-def _dispatch(name: str, x, below, above):
+def _dispatch(name: str, x, below, above, x_min=0.0):
     """Target `name` at x: its guard series where |log x| < SERIES_GUARD,
     and off it, with (solve, formula) = below under 1 and above over 1,
-    formula(solve(x))."""
+    formula(solve(x)).  x at or below x_min, where the value leaves the
+    double range, raises ValueError before any solve."""
     x = np.asarray(x, dtype=float)
     if not ((0.0 < x) & (x < np.inf)).all():
         raise ValueError(f"{name}_exact needs positive finite arguments")
+    if (x <= x_min).any():
+        raise ValueError(f"{name}_exact needs x > {x_min!r}: its value "
+                         "overflows a double at and below that bound")
     y = np.log(x)
     near = np.abs(y) < SERIES_GUARD
     out = np.empty(x.shape)
@@ -102,7 +110,8 @@ def JBS_exact(x):
         "JBS", x,
         (lambda x: solve_lambda(1.0 / x),
          lambda lam: (np.pi - lam) / np.tan(0.5 * lam) - 0.5 * (np.pi - lam) ** 2),
-        (solve_xi, lambda xi: 0.5 * xi * xi - xi * np.tanh(0.5 * xi)))
+        (solve_xi, lambda xi: 0.5 * xi * xi - xi * np.tanh(0.5 * xi)),
+        x_min=_JBS_X_MIN)
 
 
 def F_exact(rho):

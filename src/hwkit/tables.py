@@ -16,23 +16,21 @@ theta = x d/dx,
 
 and h_1 = 6, U_1 = 2.  theta is d/dy in y = log x and (1+w) d/dw in
 w = x - 1 ("omega variable").  Divided by U, with the first equation,
-the second is linear:
+the second is linear, and as theta U * U = theta(U^2)/2 it also reads
 
-    theta U + U = theta h / 2 - 1.
+    theta h = 2 (theta U + U + 1),   theta(U^2)/2 = h - U - U^2.
 
-V = Q(h/4) - 1 needs no equation of its own: the doubling identity
-2Q(z) - 2Q(z/4) = sqrt(z) tanh(sqrt z / 2) = Q(z) - 1/g(z) holds at z = h,
-where g(h) = x, so
+h is linear in U, so _riccati solves U alone, one symmetric integer dot
+product (U^2) per order (Brent & Kung, J. ACM 25 (1978) section 5), and
+every table follows from U and h without another product:
 
-    V = (U - 1 + 1/x) / 2,
-
-which is D (1 + V) = h/4 for D = U - V solved in closed form.  Order by
-order the one nonlinear term is theta h * U (Brent & Kung, J. ACM 25
-(1978) section 5), so _riccati takes one integer dot product per order,
-O(n^2) integer products in all.  The tables are linear in h, U, V:
-J(h) = h/2 - 2U + 2V, F(h) = h/2 - U + (pi^2/2 - 1), and G(h) =
-sqrt(h/U) = sqrt(3) sqrt(theta h / 6), so G takes h in y one order
-higher.
+* J needs no Q(h/4): the doubling identity 2Q(z) - 2Q(z/4) =
+  sqrt(z) tanh(sqrt z / 2) = Q(z) - 1/g(z) holds at z = h, where g(h) = x,
+  so J(h) = h/2 - U - 1 + 1/x, and 1/x is e^-y or 1/(1+w).
+* F(h) = h/2 - U + (pi^2/2 - 1), so in y theta F = 1 + U: F_n = U_{n-1}/n
+  from n = 2, and J_n = F_n + (-1)^n/n!.
+* G(h) = sqrt(h/U) = sqrt(3) sqrt(theta h / 6), with G^2 = theta h / 2 =
+  1 + U + theta U, so G takes U in y one order higher.
 
 Variable conventions (this bites -- see coeffs_F below):
 
@@ -46,7 +44,7 @@ Variable conventions (this bites -- see coeffs_F below):
 
 All results are cached at the largest order ever requested and sliced,
 which is sound because coefficient n of a table depends only on
-coefficients up to n of h, U and V (n + 1 of h for G).
+coefficients up to n of h and U (n + 1 for G).
 """
 
 from __future__ import annotations
@@ -55,9 +53,10 @@ import threading
 from fractions import Fraction
 from operator import mul
 
-from .series import (DEFAULT_MAX_ORDER, OFFSET_NONE, OFFSET_PI2_HALF_MINUS_1,
-                     RationalSeries, SeriesError, _append_scaled, revert_series,
-                     series_compose, series_div, series_sqrt)
+from .rational import ZERO
+from .series import (DEFAULT_MAX_ORDER, OFFSET_PI2_HALF_MINUS_1, RationalSeries,
+                     SeriesError, _append_scaled, revert_series, series_compose,
+                     series_div, series_sqrt)
 
 # perfbench/tracing.py TARGETS wraps these four names on this module, so
 # they stay bound here; of them the build calls only series_sqrt.
@@ -68,51 +67,45 @@ _cache_lock = threading.Lock()
 
 
 def _riccati(order: int, shift: int):
-    """Numerators of h, U and V to at least `order`, and their common denominator.
+    """Numerators of k = n h_n and of U to `order`, and their common denominator.
 
-    shift 0 solves in y = log x, shift 1 in w = x - 1.  The series so far
-    are integers over one running denominator den, and so is theta h,
-    kept as a row beside them.  With b = shift (n-1), order n of
-    theta h * U = 2h and order n-1 of theta U + U = theta h/2 - 1 read
+    shift 0 solves in y = log x, shift 1 in w = x - 1.  With b = shift (n-1),
+    P = U^2 and R_{n+1} = sum_{i=2}^{n-1} U_i U_{n+1-i}, so that
+    P_{n+1} = 4 U_n + R_{n+1}, order n of theta(U^2)/2 = h - U - U^2 and
+    order n-1 of theta h = 2 (theta U + U + 1) read
 
-        2 theta h_{n-1} + 6 U_n + s/den^2 = 2 h_n,
-        n U_n + (1 + b) U_{n-1} = theta h_{n-1} / 2,
+        (2n+1) U_n = (2 (1 + b) U_{n-1} - shift k_{n-1}) / n
+                     - (1 + shift n/2) P_n - (n+1) R_{n+1} / 2,
+        k_n = 2n U_n + 2 (1 + b) U_{n-1} - shift k_{n-1},
 
-    with s = sum_{i=1}^{n-2} theta h_i U_{n-i} the one integer dot product,
-    theta h_0 = 6 and U_1 = 2.  As theta h_{n-1} = n h_n + b h_{n-1},
-
-        (2n+1) theta h_{n-1} = 6 (1 + b) U_{n-1} - 2b h_{n-1} - n s/den^2,
-
-    and h_n and U_n follow.  V_n = (U_n + (-1)^n / f)/2, where f = n! in
-    y and 1 in w: 1/x is e^-y or 1/(1+w).
+    from k_1 = 6 and U_1 = 2.  R_{n+1} is the one integer dot product,
+    halved by symmetry; P_n is the last order's 4 U_{n-1} + R_n, and k_{n-1}
+    one number (the k row follows from the U row at the end).
     """
-    nums = [0, 12], [0, 4], [0, 1], [12]   # h, U, V; theta h_0 = h_1
-    nh, nu, nv, th = nums
-    den, f = 2, 1                           # h_1 = 6, U_1 = 2, V_1 = 1/2
+    nu = [0, 4]
+    den, p, k = 2, 16, 12                   # P_2 = U_1^2 = p / den^2
     for n in range(2, order + 1):
         b = shift * (n - 1)
-        if not shift:
-            f *= n
-        s = sum(map(mul, th[1:], nu[n - 1:1:-1]))
-        q = (2 * n + 1) * den               # theta h_{n-1} = t / (q den)
-        t = 6 * (1 + b) * den * nu[n - 1] - 2 * b * den * nh[n - 1] - n * s
-        u = t - 2 * (1 + b) * q * nu[n - 1]   # U_n = u / (2n q den)
-        d = n * q * den
-        new = (Fraction(t - b * q * nh[n - 1], d), Fraction(u, 2 * d),
-               Fraction(u * f + (-1) ** n * 2 * d, 4 * d * f))
-        den = _append_scaled(nums, den, new)
-        th.append(n * nh[n] + b * nh[n - 1])
-    return (nh, nu, nv), den
+        half = nu[2:(n + 2) // 2]
+        r = 2 * sum(map(mul, half, reversed(nu[n - len(half):n])))
+        if n % 2:
+            r += nu[(n + 1) // 2] ** 2
+        t = ((4 * (1 + b) * nu[n - 1] - 2 * shift * k) * den
+             - n * (2 + shift * n) * p - n * (n + 1) * r)
+        new = _append_scaled((nu,), den, (Fraction(t, 2 * n * (2 * n + 1) * den ** 2),))
+        up, den = new // den, new
+        p = 4 * den * nu[n] + r * up * up
+        k = 2 * n * nu[n] + 2 * (1 + b) * nu[n - 1] - shift * k * up
+    nk = [0, 6 * den]
+    for n in range(2, order + 1):
+        b = shift * (n - 1)
+        nk.append(2 * n * nu[n] + 2 * (1 + b) * nu[n - 1] - shift * nk[n - 1])
+    return (nk, nu), den
 
 
-def _series(nums, den, order, offset=OFFSET_NONE) -> RationalSeries:
-    return RationalSeries(tuple(Fraction(c, den) for c in nums[:order + 1]),
-                          offset=offset)
-
-
-def _jbs(h, u, v, den, order) -> RationalSeries:
-    """The rate kernel h/2 - 2U + 2V, from numerators over den."""
-    return _series([a - 4 * (b - c) for a, b, c in zip(h, u, v)], 2 * den, order)
+def _h(k, den, order) -> RationalSeries:
+    return RationalSeries((ZERO, *(Fraction(k[n], n * den)
+                                   for n in range(1, order + 1))))
 
 
 def flip_odd_signs(a: RationalSeries) -> RationalSeries:
@@ -128,22 +121,28 @@ def flip_odd_signs(a: RationalSeries) -> RationalSeries:
 # y = log rho therefore gives the kernels at h(e^{-y}), i.e. the odd-sign-
 # flipped tables.  "natural" tables keep +y as the argument of h; they are
 # what the coefficient asymptotics describe.  One solve in each variable
-# builds every table of its group.
+# builds every table of its group, each coefficient one Fraction.
 
 def _log_tables(order: int) -> dict:
-    (h, u, v), den = _riccati(order + 1, 0)
-    theta_h = [(m + 1) * h[m + 1] for m in range(order + 1)]
-    f_nat = _series([a - 2 * b for a, b in zip(h, u)], 2 * den, order,
-                    offset=OFFSET_PI2_HALF_MINUS_1)
-    g_nat = series_sqrt(_series(theta_h, 2 * den, order), prefactor_sq=3)
-    return {"h_log": _series(h, den, order), "jbs_log": _jbs(h, u, v, den, order),
+    (k, u), den = _riccati(order + 1, 0)    # theta h_m = k_{m+1} in y
+    f_nat, jbs, fact = [ZERO, Fraction(1)], [ZERO, ZERO], 1
+    for n in range(2, order + 1):           # F_n = U_{n-1}/n, J_n = F_n + (-1)^n/n!
+        f_nat.append(Fraction(u[n - 1], n * den))
+        jbs.append(Fraction(fact * u[n - 1] + (-1) ** n * den, n * fact * den))
+        fact *= n
+    f_nat = RationalSeries(tuple(f_nat), offset=OFFSET_PI2_HALF_MINUS_1)
+    g_sq = RationalSeries(tuple(Fraction(c, 2 * den) for c in k[1:order + 2]))
+    g_nat = series_sqrt(g_sq, prefactor_sq=3)
+    return {"h_log": _h(k, den, order), "jbs_log": RationalSeries(tuple(jbs)),
             "F_natural": f_nat, "G_natural": g_nat,
             "F": flip_odd_signs(f_nat), "G": flip_odd_signs(g_nat)}
 
 
 def _omega_tables(order: int) -> dict:
-    (h, u, v), den = _riccati(order, 1)
-    return {"h": _series(h, den, order), "jbs_omega": _jbs(h, u, v, den, order)}
+    (k, u), den = _riccati(order, 1)        # J_n = h_n/2 - U_n + (-1)^n
+    jbs = (Fraction(k[n] - 2 * n * (u[n] - (-1) ** n * den), 2 * n * den)
+           for n in range(1, order + 1))
+    return {"h": _h(k, den, order), "jbs_omega": RationalSeries((ZERO, *jbs))}
 
 
 _BUILDERS = {**dict.fromkeys(("h_log", "jbs_log", "F_natural", "G_natural", "F", "G"),

@@ -14,10 +14,12 @@ coefficient by coefficient.
     exponent kernel    F(z) = z/2 - Q(z) + pi^2/2
     prefactor kernel   G(z) = sqrt(z) / sqrt(Q(z) - 1)
 
-riccati_three_equations is the earlier solve of the tables: all three
+riccati_three_equations is an earlier solve of the tables: all three
 Riccati equations, V's included, order by order with theta applied to
 each row, four dot products per order.  Tests compare the solve in
-hwkit.tables with it at the order cap.
+hwkit.tables with it at the order cap, and every table with
+tables_from_three_equations, which forms them from its rows by the
+formulas linear in h, U and V.
 """
 
 from fractions import Fraction
@@ -144,3 +146,32 @@ def riccati_three_equations(order: int, shift: int):
                Fraction(2 * s2 - s1 - 8 * n * s3, 4 * d))
         den = _append_scaled(nums, den, new)
     return nums, den
+
+
+def _flip(a: RationalSeries) -> RationalSeries:
+    return RationalSeries(tuple((-1) ** n * c for n, c in enumerate(a.coeffs)),
+                          a.prefactor_sq, a.offset)
+
+
+def tables_from_three_equations(order: int) -> dict:
+    """Every table of hwkit.tables at `order`, keyed by its cache name.
+
+    From riccati_three_equations' h, U and V: J = h/2 - 2U + 2V,
+    F = h/2 - U (offset pi^2/2 - 1) and G = sqrt(3) sqrt(theta h / 6), with
+    theta h in y one order higher; F and G flip the natural tables' odd
+    signs.
+    """
+    out = {}
+    for shift, h_name, j_name in ((1, "h", "jbs_omega"), (0, "h_log", "jbs_log")):
+        rows, den = riccati_three_equations(order + 1, shift)
+        h, u, v = ([Fraction(c, den) for c in row] for row in rows)
+        out[h_name] = RationalSeries(tuple(h[:order + 1]))
+        out[j_name] = RationalSeries(tuple(a / 2 - 2 * b + 2 * c for a, b, c
+                                           in zip(h[:order + 1], u, v)))
+    # h and u are the rows in y from here on
+    f_nat = RationalSeries(tuple(a / 2 - b for a, b in zip(h[:order + 1], u)),
+                           offset=OFFSET_PI2_HALF_MINUS_1)
+    root = series_sqrt(RationalSeries(tuple(m * h[m] / 6 for m in range(1, order + 2))))
+    g_nat = RationalSeries(root.coeffs, prefactor_sq=3)
+    return {**out, "F_natural": f_nat, "G_natural": g_nat,
+            "F": _flip(f_nat), "G": _flip(g_nat)}

@@ -31,10 +31,12 @@ def test_coeffs_F_series_format(capsys):
     assert out.startswith("# rational-series order=10 prefactor_sq=1 "
                           "offset=pi^2/2-1")
     assert "10 6740719066/38598324999609375" in out
-    # round-trips through the series parser
-    from hwkit.series import series_from_text
+    # round-trips through the series parser, and is series_to_text byte for
+    # byte (CI hashes this output at the order cap)
+    from hwkit.series import series_from_text, series_to_text
     from hwkit.tables import coeffs_F
     assert series_from_text(out) == coeffs_F(10)
+    assert out == series_to_text(coeffs_F(10))
 
 
 def test_coeffs_usage_error(capsys):
@@ -73,6 +75,15 @@ def test_eval_far_outside_the_window(capsys, target, arg, want):
     value = float(out.strip().splitlines()[1].split(",")[1])
     assert math.isfinite(value)
     assert value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("arg", ["1e-308", "5e-324"])
+def test_eval_JBS_where_it_overflows_is_refused(capsys, arg):
+    # J_BS ~ 2/x is past the double range: exit 2 naming the bound, no inf
+    code, out, err = run_cli(capsys, "eval", "JBS", arg)
+    assert code == EXIT_USAGE
+    assert "error: JBS_exact needs x > 1.1125369292536007e-308" in err
+    assert "inf" not in out
 
 
 def test_constants_output(capsys):

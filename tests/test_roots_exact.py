@@ -1,6 +1,8 @@
 """Root solvers, the critical-point table, and the closed-form evaluators."""
 
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -319,3 +321,16 @@ def test_closed_forms_finite_at_the_ends_of_the_double_range():
     for fn in (F_exact, G_exact, JBS_exact):
         assert np.isfinite(fn(rho)).all()
     assert (F_exact(rho) > 0).all() and (G_exact(rho) > 0).all()
+
+
+def test_JBS_refuses_x_where_its_value_overflows():
+    # J_BS(x) ~ 2/x leaves the double range below x = 2/DBL_MAX: a typed
+    # error before any solve, with no overflow warning on the way
+    edge = 2.0 / sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-308, 5e-324, edge, np.array([1.0, 1e-308])):
+            with pytest.raises(ValueError, match=r"JBS_exact needs x > 1\.1125"):
+                JBS_exact(x)
+        assert JBS_exact(1e-300) == 2e300
+        assert np.isfinite(JBS_exact(np.nextafter(edge, 1.0)))

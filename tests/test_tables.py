@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,8 @@ from hwkit.tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs
                           flip_odd_signs, natural_table)
 from series_oracles import (exponent_kernel_series, expm1_series,
                             prefactor_kernel_series, rate_kernel_series,
-                            riccati_three_equations, sinhc_series)
+                            riccati_three_equations, sinhc_series,
+                            tables_from_three_equations)
 
 # the standard printed tables these generators must reproduce exactly
 H_FIRST = ["0", "6", "-9/5", "144/175"]
@@ -38,6 +40,15 @@ ORDER100_DIGESTS = {
     "G": "1a1b5507b063acc29cd8a7fcbcfc1ac8b7380ed55397df4dfd1b172c5515c9bf",
     "h_log": "0ed76ea24649c1bc41e8692f1ef8c2e2a89bc9750c8bb004c40ac327d4203ce9",
     "jbs_omega": "dcfdd90b296c799803b1709cb0e7a4a490e446677231c24227a8e5b852183e0c",
+}
+# the same at the order cap, where the log solve runs one order past it for G
+CAP_DIGESTS = {
+    "h": "f026cf5623f3db9d73fed81a63f73906a95d1b2102d1bf0cc17dbf0ae559a718",
+    "jbs_log": "e781e37fc6031cdeeae3ea60f56cbecbad06634259e80abe9cc807cbef4910f3",
+    "F": "9c60a366ed4061ba30391ba7939f4fc92b04a3b18ef340f2f9cefa26df7c9759",
+    "G": "b5f3fdb6f740721935b102bc10c0f568effee76b69011d39fec495fe7dc70bf1",
+    "h_log": "fe2920365063afc3c1c26d34107bf6492e02143d3ecdcfb4ed0f22b071765bf2",
+    "jbs_omega": "5226002d41b55db6275f339db0d061d85410376b08f8156adb8f62b91d98a452",
 }
 TABLE_GETTERS = {"h": coeffs_h, "jbs_log": lambda n: coeffs_jbs(n, "log"),
                  "F": coeffs_F, "G": coeffs_G, "h_log": coeffs_h_log,
@@ -90,13 +101,26 @@ def test_G_table_exact():
 
 def test_tables_are_fraction_over_int():
     # one exact backend: every coefficient is exactly a Fraction, and the
-    # Riccati solver's numerators and denominator are exactly int
+    # U-only solve's numerators (k = n h_n and U) and denominator are exactly int
     for ser in (coeffs_F(20), coeffs_G(20), coeffs_jbs(20, "omega")):
         assert {type(c) for c in ser.coeffs} == {Fraction}
         assert type(ser.prefactor_sq) is Fraction
-    nums, den = tables._riccati(20, 0)
-    assert {type(c) for row in nums for c in row} == {int}
+    rows, den = tables._riccati(20, 0)
+    assert {type(c) for row in rows for c in row} == {int}
     assert type(den) is int
+
+
+def _riccati_series(order, shift):
+    """h and U from the U-only solve, and V = (U - 1 + 1/x)/2 derived here.
+
+    1/x is e^-y (shift 0) or 1/(1+w) (shift 1); h_n = k_n/n.
+    """
+    (k, u), den = tables._riccati(order, shift)
+    h = [Fraction(0)] + [Fraction(c, n * den) for n, c in enumerate(k[1:], 1)]
+    u = [Fraction(c, den) for c in u]
+    inv_x = [Fraction((-1) ** n, 1 if shift else factorial(n)) for n in range(order + 1)]
+    v = [(a - (n == 0) + b) / 2 for n, (a, b) in enumerate(zip(u, inv_x))]
+    return h, u, v
 
 
 @pytest.mark.parametrize("order,shift", [(DEFAULT_MAX_ORDER + 1, 0),
@@ -104,11 +128,11 @@ def test_tables_are_fraction_over_int():
 def test_riccati_equals_the_three_equation_solve(order, shift):
     # the orders the log (G one order higher) and omega tables solve to at
     # the cap; the order-100 digests stop short of them
-    (h, u, v), den = tables._riccati(order, shift)
+    rows = _riccati_series(order, shift)
     (h0, u0, v0), den0 = riccati_three_equations(order, shift)
-    for row, ref in ((h, h0), (u, u0), (v, v0)):
+    for row, ref in zip(rows, (h0, u0, v0)):
         assert len(row) == len(ref) == order + 1
-        assert [Fraction(c, den) for c in row] == [Fraction(c, den0) for c in ref]
+        assert row == [Fraction(c, den0) for c in ref]
 
 
 def _theta_series(a, shift):
@@ -120,13 +144,12 @@ def _theta_series(a, shift):
 
 @pytest.mark.parametrize("shift", [0, 1])
 def test_riccati_rows_satisfy_the_riccati_identities(shift):
-    # U comes from the linear theta U + U = theta h/2 - 1 and V from
-    # V = (U - 1 + 1/x)/2: both must still solve the Riccati equations they
-    # are no longer taken from, and D = U - V the doubling D (1 + V) = h/4
+    # the solve takes U from theta(U^2)/2 = h - U - U^2 and h from the linear
+    # theta h = 2 (theta U + U + 1); h, U and the V derived from them must
+    # still solve the Riccati equations, and D = U - V the doubling
+    # D (1 + V) = h/4
     n = 60
-    (h, u, v), den = tables._riccati(n + 1, shift)
-    h, u, v = (RationalSeries(tuple(Fraction(c, den) for c in row))
-               for row in (h, u, v))
+    h, u, v = (RationalSeries(tuple(row)) for row in _riccati_series(n + 1, shift))
     h4 = RationalSeries(tuple(c / 4 for c in h.coeffs)).truncate(n)
     one_v = RationalSeries((Fraction(1),) + v.coeffs[1:])
     d = RationalSeries(tuple(a - b for a, b in zip(u.coeffs, v.coeffs)))
@@ -136,6 +159,23 @@ def test_riccati_rows_satisfy_the_riccati_identities(shift):
         rhs = RationalSeries(tuple(a - b - c for a, b, c
                                    in zip(z.coeffs, w.coeffs, ww.coeffs)))
         assert series_mul(_theta_series(w, shift), u) == rhs.truncate(n)
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), DEFAULT_MAX_ORDER])
+def test_every_table_equals_the_three_equation_oracle(cold_cache, order):
+    # the low orders run the solve's loops empty or once; the cap runs them
+    # longest
+    for name, want in tables_from_three_equations(order).items():
+        assert tables._table(name, order) == want, name
+
+
+def test_F_natural_is_U_integrated_once():
+    # theta F = 1 + U in y: n F_n = U_{n-1} from n = 2, with U from the oracle
+    n = 60
+    f_nat = natural_table("dF", n)
+    (_, u, _), den = riccati_three_equations(n, 0)
+    for m in range(2, n + 1):
+        assert m * f_nat[m] == Fraction(u[m - 1], den), m
 
 
 def test_G_squared_matches_its_definition():
@@ -233,6 +273,12 @@ def test_order100_tables_pinned_after_a_small_build(cold_cache):
         get(6)
     for name, digest in ORDER100_DIGESTS.items():
         text = series_to_text(TABLE_GETTERS[name](100))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_cap_tables_pinned(cold_cache):
+    for name, digest in CAP_DIGESTS.items():
+        text = series_to_text(TABLE_GETTERS[name](DEFAULT_MAX_ORDER))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
