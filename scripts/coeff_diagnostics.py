@@ -18,11 +18,8 @@ import pathlib
 import statistics
 import sys
 
-from hwkit.asympt import (DAMPING, diagnostic_epsilon, epsilon_csv,
-                          exact_family_floats)
-from hwkit.exact import critical_points
-
-FAMILIES = ("c", "d", "cJ", "dJ", "dF", "dG")
+from hwkit.asympt import (DAMPING, FAMILIES, convergence_radius,
+                          diagnostic_epsilon, epsilon_csv, exact_family_floats)
 
 
 def main(argv=None):
@@ -34,17 +31,13 @@ def main(argv=None):
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = critical_points(1)
-    limits = {"c": 1.0 / (1.0 - table.omega[0])}
-    for fam in ("d", "dJ", "dF", "dG"):
-        limits[fam] = 1.0 / table.rho_x
 
     for fam in args.families:
         rows = diagnostic_epsilon(fam, args.order)
         path = outdir / f"epsilon_{fam}.csv"
         path.write_text(epsilon_csv(rows))
         msg = f"{fam}: wrote {path}"
-        if fam in limits:
+        if fam in DAMPING:      # cJ is undamped: its coefficients tend to +-2
             vals = exact_family_floats(fam, args.order)
             lo = max(2, args.order - 20)
             window = range(lo, args.order + 1)
@@ -52,7 +45,7 @@ def main(argv=None):
             med = statistics.median(abs(vals[n]) ** (1.0 / n) for n in window)
             cor = statistics.median((abs(vals[n]) * n ** p) ** (1.0 / n)
                                     for n in window)
-            lim = limits[fam]
+            lim = 1.0 / convergence_radius(fam)
             msg += (f"; root-test median over [{lo},{args.order}] = {med:.5f}"
                     f" (dev {med / lim - 1:+.4f}), power-corrected (p = {p})"
                     f" = {cor:.5f} (dev {cor / lim - 1:+.4f})"

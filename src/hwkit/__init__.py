@@ -11,14 +11,13 @@ from .series import (RationalSeries, SeriesError, revert_series, series_add,
                      series_compose, series_div, series_from_text, series_mul,
                      series_sqrt, series_to_text)
 from .tables import (coeffs_F, coeffs_G, coeffs_h, coeffs_h_log, coeffs_jbs,
-                     natural_table)
+                     natural_table, table)
 from .roots import (RootSolveError, solve_kappa, solve_lambda, solve_tan_eta,
                     solve_xi, solve_zeta)
 from .exact import (CriticalPointTable, F_exact, G_exact, JBS_exact,
                     critical_points)
-from .asympt import (AsymptoticConstants, PuiseuxData, asympt_c, asympt_cJ,
-                     asympt_d, asympt_dF, asympt_dG, asympt_dJ,
-                     asymptotic_constants, diagnostic_epsilon, puiseux_data)
+from .asympt import (AsymptoticConstants, PuiseuxData, asymptotic_constants,
+                     diagnostic_epsilon, leading_term, puiseux_data)
 from .evaluate import (PiecewiseEvaluator, make_evaluator,
                        truncation_error_profile)
 from .quadrature import QuadratureError

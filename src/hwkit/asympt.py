@@ -39,6 +39,10 @@ Conventions (documented here once, used by diagnostic_epsilon):
   (argument e^{-y}), i.e. the printed table with odd signs flipped;
   family dG likewise, with the sqrt(3) surd multiplied in.  Those are the
   series the transfer amplitudes d_F, d_G describe.
+
+Each family's transfer law a_n ~ A R^{-n} n^{-p} f(n) is one entry of
+_LAWS, whose keys FAMILIES lists; leading_term, trig_factor,
+convergence_radius, DAMPING and diagnostic_epsilon all read it.
 """
 
 from __future__ import annotations
@@ -147,80 +151,66 @@ def _geom() -> tuple:
     return _branch_point()[3]
 
 
-# -- leading-order asymptotic coefficient values --------------------------------
+# -- transfer laws ---------------------------------------------------------------
 
-# Polynomial damping exponent p of each family's transfer law
-# a_n ~ A n^{-p} R^{-n} (trig factor); cJ is undamped.
-DAMPING = {"c": 1.5, "d": 1.5, "dJ": 2.5, "dF": 2.5, "dG": 0.75}
+def _sign(theta_x, n):
+    return (-1.0) ** n
+
+
+def _wave(trig, phase):
+    return lambda theta_x, n: trig(theta_x * (n + phase))
+
+
+def _log_radius(omega1, rho_x):
+    return rho_x
+
+
+# family: (amplitude A, radius R, damping p, oscillatory factor f) of its
+# transfer law a_n ~ A R^{-n} n^{-p} f(n).  A takes the AsymptoticConstants,
+# R takes (omega_1, rho_x) and f takes (theta_x, n), so the constants are
+# built on first use.  The log-variable families' singularities sit at
+# distance rho_x; J_BS ~ 2/x has a pole at distance 1, where cJ's term is +-2.
+_LAWS = {
+    "c": (lambda ac: ac.c_inf, lambda omega1, rho_x: 1 - omega1, 1.5, _sign),
+    "d": (lambda ac: ac.d_inf, _log_radius, 1.5, _wave(math.cos, -0.5)),
+    "cJ": (lambda ac: 2.0, lambda omega1, rho_x: 1.0, 0.0, _sign),
+    "dJ": (lambda ac: ac.d_J, _log_radius, 2.5, _wave(math.cos, -1.5)),
+    "dF": (lambda ac: ac.d_F, _log_radius, 2.5, _wave(math.cos, -1.5)),
+    "dG": (lambda ac: ac.d_G, _log_radius, 0.75, _wave(math.sin, 0.25)),
+}
+FAMILIES = tuple(_LAWS)
+# the damping exponent p of every damped family (cJ is undamped)
+DAMPING = {family: p for family, (_, _, p, _) in _LAWS.items() if p}
+
+
+def _law(family: str) -> tuple:
+    if family not in _LAWS:
+        raise ValueError(f"unknown family {family!r}")
+    return _LAWS[family]
+
+
+def convergence_radius(family: str) -> float:
+    """R, the radius of convergence of the family's table."""
+    omega1, rho_x, _ = _geom()
+    return _law(family)[1](omega1, rho_x)
 
 
 def trig_factor(family: str, n: int) -> float:
     """The oscillatory factor of the leading asymptotics ((-1)^n counts)."""
-    _, _, theta_x = _geom()
-    if family in ("c", "cJ"):
-        return (-1.0) ** n
-    if family == "d":
-        return math.cos(theta_x * (n - 0.5))
-    if family in ("dJ", "dF"):
-        return math.cos(theta_x * (n - 1.5))
-    if family == "dG":
-        return math.sin(theta_x * (n + 0.25))
-    raise ValueError(f"unknown family {family!r}")
+    return _law(family)[3](_geom()[2], n)
 
 
-def asympt_c(n: int) -> float:
-    """c_n ~ c_inf (1-omega_1)^{-n} (-1)^n n^{-3/2}."""
-    omega1, _, _ = _geom()
-    ac = asymptotic_constants()
-    return (ac.c_inf * (1 - omega1) ** (-n) * trig_factor("c", n)
-            * n ** -DAMPING["c"])
-
-
-def _log_law(amp: float, family: str, n: int) -> float:
-    """amp rho_x^{-n} (trig factor) n^{-p}: the transfer law of the
-    log-variable families, whose dominant singularities sit at distance
-    rho_x."""
-    _, rho_x, _ = _geom()
-    return amp * rho_x ** (-n) * trig_factor(family, n) * n ** -DAMPING[family]
-
-
-def asympt_d(n: int) -> float:
-    """d_n ~ d_inf rho_x^{-n} cos(theta_x (n - 1/2)) n^{-3/2}."""
-    return _log_law(asymptotic_constants().d_inf, "d", n)
-
-
-def asympt_cJ(n: int) -> float:
-    """Leading term of the rate-function omega-coefficients: exactly +-2."""
-    return 2.0 * trig_factor("cJ", n)
-
-
-def asympt_dJ(n: int) -> float:
-    """d_{J,n} ~ d_J rho_x^{-n} cos(theta_x (n - 3/2)) n^{-5/2}."""
-    return _log_law(asymptotic_constants().d_J, "dJ", n)
-
-
-def asympt_dF(n: int) -> float:
-    """d_{F,n} ~ d_F rho_x^{-n} cos(theta_x (n - 3/2)) n^{-5/2}."""
-    return _log_law(asymptotic_constants().d_F, "dF", n)
-
-
-def asympt_dG(n: int) -> float:
-    """d_{G,n} ~ d_G rho_x^{-n} sin(theta_x (n + 1/4)) n^{-3/4}."""
-    return _log_law(asymptotic_constants().d_G, "dG", n)
-
-
-_FAMILY_FUNS = {"c": asympt_c, "d": asympt_d, "cJ": asympt_cJ,
-                "dJ": asympt_dJ, "dF": asympt_dF, "dG": asympt_dG}
+def leading_term(family: str, n: int) -> float:
+    """A R^{-n} n^{-p} f(n), the leading large-n value of coefficient n."""
+    amplitude, _, p, _ = _law(family)
+    return (amplitude(asymptotic_constants()) * convergence_radius(family) ** (-n)
+            * trig_factor(family, n) * n ** -p)
 
 
 def exact_family_floats(family: str, order: int):
-    """Float values of the exact coefficients in the analysis convention."""
+    """Float values of the exact coefficients, the table's surd multiplied in."""
     ser = tables.natural_table(family, order)
-    vals = ser.float_coeffs()
-    if family == "dG":
-        s3 = math.sqrt(3.0)
-        vals = [s3 * v for v in vals]  # amplitude d_G describes sqrt3-inclusive coeffs
-    return vals
+    return [math.sqrt(ser.prefactor_sq) * c for c in ser.float_coeffs()]
 
 
 def diagnostic_epsilon(family: str, order: int, n_min: int = 2):
@@ -228,15 +218,17 @@ def diagnostic_epsilon(family: str, order: int, n_min: int = 2):
 
     epsilon_n = exact/asymptotic - 1; large |epsilon| at isolated n goes
     hand in hand with a small trig factor (accidental suppression of the
-    leading term), so the trig factor is reported alongside.
+    leading term), so the trig factor is reported alongside.  An order
+    below 2 has no rows and raises ValueError.
     """
-    if family not in _FAMILY_FUNS:
-        raise ValueError(f"unknown family {family!r}")
+    _law(family)
+    if order < 2:
+        raise ValueError(f"order {order} too small for family {family} "
+                         "(need >= 2)")
     exact = exact_family_floats(family, order)
-    fun = _FAMILY_FUNS[family]
     rows = []
     for n in range(max(n_min, 1), order + 1):
-        approx = fun(n)
+        approx = leading_term(family, n)
         eps = exact[n] / approx - 1.0 if approx != 0 else math.inf
         rows.append((n, exact[n], approx, eps, trig_factor(family, n)))
     return rows

@@ -26,13 +26,16 @@ import json
 import math
 import sys
 
+import numpy as np
+
+from . import asympt, tables
+from .series import series_to_text
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_NUMERIC = 4
 
-_COEFF_FAMILIES = ("h", "h_log", "jbs_omega", "jbs_log", "F", "G")
-_ASYMPT_FAMILIES = ("c", "d", "cJ", "dJ", "dF", "dG")
 _SCENARIO_KEYS = ("S0", "r", "sigma", "T", "K")
 
 
@@ -64,34 +67,10 @@ def _emit_rows(header, rows, fmt, out, precision):
         _write_out("\n".join(lines) + "\n", out)
 
 
-def _order_too_small(order: int, family: str, min_order: int) -> bool:
-    """Report an order below the family's minimum on stderr."""
-    if order >= min_order:
-        return False
-    print(f"error: order {order} too small for family {family} "
-          f"(need >= {min_order})", file=sys.stderr)
-    return True
-
-
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_coeffs(args) -> int:
-    from . import tables
-    from .series import series_to_text
-
-    n = args.order
-    fam = args.family
-    if _order_too_small(n, fam, 2 if fam.startswith("jbs") else 1):
-        return EXIT_USAGE
-    builders = {
-        "h": lambda: tables.coeffs_h(n),
-        "h_log": lambda: tables.coeffs_h_log(n),
-        "jbs_omega": lambda: tables.coeffs_jbs(n, "omega"),
-        "jbs_log": lambda: tables.coeffs_jbs(n, "log"),
-        "F": lambda: tables.coeffs_F(n),
-        "G": lambda: tables.coeffs_G(n),
-    }
-    ser = builders[fam]()
+    ser = tables.table(args.family, args.order)
     if args.format == "series":
         _write_out(series_to_text(ser), args.out)
         return EXIT_OK
@@ -114,12 +93,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from .asympt import asymptotic_constants, puiseux_data
     from .exact import critical_points, singularity_distance
 
     table = critical_points(args.count)
-    pd = puiseux_data()
-    ac = asymptotic_constants()
+    pd = asympt.puiseux_data()
+    ac = asympt.asymptotic_constants()
     rows = []
     for k, eta, z, omega in table.entries:
         rows.append((f"eta_{k}", eta))
@@ -138,12 +116,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_asympt(args) -> int:
-    from .asympt import diagnostic_epsilon
-
-    # the diagnostics start at n = 2, so a smaller order has no rows
-    if _order_too_small(args.order, args.family, 2):
-        return EXIT_USAGE
-    rows = diagnostic_epsilon(args.family, args.order)
+    rows = asympt.diagnostic_epsilon(args.family, args.order)
     _emit_rows(("n", "coeff_exact", "coeff_asympt", "epsilon", "trig_factor"),
                rows, args.format, args.out, args.precision)
     return EXIT_OK
@@ -163,7 +136,7 @@ def cmd_density(args) -> int:
     else:
         lo, hi, count = args.grid
         grid = [math.exp(x) for x in
-                _linspace(math.log(lo), math.log(hi), int(count))]
+                np.linspace(math.log(lo), math.log(hi), int(count))]
     rows = [(a, f0_density(a, args.t, args.mu, F_eval, G_eval, norm=norm))
             for a in grid]
     _emit_rows(("a", "f0"), rows, args.format, args.out, args.precision)
@@ -231,13 +204,6 @@ def cmd_price(args) -> int:
     return EXIT_OK
 
 
-def _linspace(a, b, n):
-    if n == 1:
-        return [a]
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n)]
-
-
 # -- parser ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Small-time gBM time-average asymptotics: exact series "
                     "tables, Hartman-Watson evaluation, Asian benchmark pricing")
     p.add_argument("--format", default="csv", choices=("csv", "json", "series"),
-                   help="output format (series only for coeffs)")
+                   help="output format (series: coeffs only)")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--precision", type=int, default=6,
                    help="significant digits for floats (1..17)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="exact rational coefficient tables")
-    sp.add_argument("family", choices=_COEFF_FAMILIES)
+    sp.add_argument("family", choices=tables.TABLES)
     sp.add_argument("order", type=int)
     sp.set_defaults(fn=cmd_coeffs)
 
@@ -269,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_constants)
 
     sp = sub.add_parser("asympt", help="coefficient-asymptotics diagnostics")
-    sp.add_argument("family", choices=_ASYMPT_FAMILIES)
+    sp.add_argument("family", choices=asympt.FAMILIES)
     sp.add_argument("order", type=int)
     sp.set_defaults(fn=cmd_asympt)
 
@@ -304,6 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.precision <= 17:
         parser.error("--precision must be in [1, 17]")
+    if args.format == "series" and args.command != "coeffs":
+        parser.error("--format series applies to coeffs only")
     try:
         return args.fn(args)
     except FileNotFoundError as e:

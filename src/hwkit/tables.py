@@ -32,7 +32,8 @@ every table follows from U and h without another product:
 * G(h) = sqrt(h/U) = sqrt(3) sqrt(theta h / 6), with G^2 = theta h / 2 =
   1 + U + theta U, so G takes U in y one order higher.
 
-Variable conventions (this bites -- see coeffs_F below):
+Every table is read through table(name, order); TABLES holds the six
+printed names.  Variable conventions (this bites -- see coeffs_F below):
 
 * coeffs_jbs(..., "log") tabulates J_BS(e^y) in powers of y = log x.
 * coeffs_F / coeffs_G tabulate the standard printed tables, i.e. the
@@ -145,63 +146,64 @@ def _omega_tables(order: int) -> dict:
     return {"h": _h(k, den, order), "jbs_omega": RationalSeries((ZERO, *jbs))}
 
 
-_BUILDERS = {**dict.fromkeys(("h_log", "jbs_log", "F_natural", "G_natural", "F", "G"),
-                             _log_tables),
-             **dict.fromkeys(("h", "jbs_omega"), _omega_tables)}
+# name: (builder, lowest order); J_BS and its slope vanish at 1, so its
+# tables start at order 2.  natural_table reaches the *_natural tables.
+_BUILDERS = {"h": (_omega_tables, 1), "h_log": (_log_tables, 1),
+             "jbs_omega": (_omega_tables, 2), "jbs_log": (_log_tables, 2),
+             "F": (_log_tables, 1), "G": (_log_tables, 1),
+             "F_natural": (_log_tables, 1), "G_natural": (_log_tables, 1)}
+TABLES = tuple(name for name in _BUILDERS if not name.endswith("_natural"))
+# coefficient family (hwkit.asympt) -> its table in the natural variable
+_NATURAL = {"c": "h", "d": "h_log", "cJ": "jbs_omega", "dJ": "jbs_log",
+            "dF": "F_natural", "dG": "G_natural"}
 
 
-def _table(name: str, order: int) -> RationalSeries:
-    if order < 0:
-        raise SeriesError("order must be nonnegative")
+def table(name: str, order: int) -> RationalSeries:
+    """The exact table `name` (one of TABLES, F_natural or G_natural) to
+    `order`; SeriesError below its lowest order or above the cap."""
+    if name not in _BUILDERS:
+        raise SeriesError(f"unknown table {name!r}")
+    lowest = _BUILDERS[name][1]
+    if order < lowest:
+        raise SeriesError(f"order {order} too small for table {name} "
+                          f"(need >= {lowest})")
     if order > DEFAULT_MAX_ORDER:
         raise SeriesError(f"order {order} exceeds the cap {DEFAULT_MAX_ORDER} "
                           "(rational coefficient growth)")
     with _cache_lock:
         have = _cache.get(name)
         if have is None or have.order < order:
-            for member, table in _BUILDERS[name](order).items():
+            for member, built in _BUILDERS[name][0](order).items():
                 kept = _cache.get(member)
                 if kept is None or kept.order < order:
-                    _cache[member] = table
+                    _cache[member] = built
             have = _cache[name]
     return have.truncate(order)
 
 
 def coeffs_h(order: int) -> RationalSeries:
     """Taylor table of the inverse of g about 1: h(w+1) = 6w - 9/5 w^2 + ..."""
-    if order < 1:
-        raise SeriesError("coeffs_h needs order >= 1")
-    return _table("h", order)
+    return table("h", order)
 
 
 def coeffs_h_log(order: int) -> RationalSeries:
     """Table of h(e^y) in powers of y: 6y + 6/5 y^2 + ..."""
-    if order < 1:
-        raise SeriesError("coeffs_h_log needs order >= 1")
-    return _table("h_log", order)
+    return table("h_log", order)
 
 
 def coeffs_jbs(order: int, variable: str = "log") -> RationalSeries:
     """Rate-function table: J_BS about 1 in (x-1) ('omega') or log x ('log')."""
-    if order < 2:
-        raise SeriesError("coeffs_jbs needs order >= 2")
-    if variable not in ("omega", "log"):
-        raise SeriesError("variable must be 'omega' or 'log'")
-    return _table("jbs_omega" if variable == "omega" else "jbs_log", order)
+    return table(f"jbs_{variable}", order)
 
 
 def coeffs_F(order: int) -> RationalSeries:
     """Hartman-Watson exponent table: F(rho) = offset + sum c_n (log rho)^n."""
-    if order < 1:
-        raise SeriesError("coeffs_F needs order >= 1")
-    return _table("F", order)
+    return table("F", order)
 
 
 def coeffs_G(order: int) -> RationalSeries:
     """Hartman-Watson prefactor table: G(rho) = sqrt(3) sum c_n (log rho)^n."""
-    if order < 1:
-        raise SeriesError("coeffs_G needs order >= 1")
-    return _table("G", order)
+    return table("G", order)
 
 
 def natural_table(family: str, order: int) -> RationalSeries:
@@ -211,8 +213,6 @@ def natural_table(family: str, order: int) -> RationalSeries:
     variables; dF/dG: exponent and prefactor kernels composed with h(e^y)
     directly (argument e^{-y} of the original functions).
     """
-    names = {"c": "h", "d": "h_log", "cJ": "jbs_omega", "dJ": "jbs_log",
-             "dF": "F_natural", "dG": "G_natural"}
-    if family not in names:
+    if family not in _NATURAL:
         raise SeriesError(f"unknown coefficient family {family!r}")
-    return _table(names[family], order)
+    return table(_NATURAL[family], order)

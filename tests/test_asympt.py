@@ -6,9 +6,10 @@ import statistics
 import mpmath
 import pytest
 
-from hwkit.asympt import (asympt_c, asympt_cJ, asympt_dG, asymptotic_constants,
+from hwkit.asympt import (FAMILIES, asymptotic_constants, convergence_radius,
                           diagnostic_epsilon, epsilon_csv, exact_family_floats,
-                          kernel_derivatives_at_z1, puiseux_data, trig_factor)
+                          kernel_derivatives_at_z1, leading_term, puiseux_data,
+                          trig_factor)
 from hwkit.exact import critical_points
 from hwkit.tables import coeffs_h
 
@@ -154,13 +155,13 @@ def test_closed_forms_against_mpmath_taylor():
 
 def test_asympt_c_ratio_limit():
     pd = puiseux_data()
-    r = asympt_c(400) / asympt_c(401)
+    r = leading_term("c", 400) / leading_term("c", 401)
     assert abs(r / (-(1 - pd.omega1)) - 1) < 0.01
 
 
 def test_asympt_cJ_is_plus_minus_two():
-    assert asympt_cJ(7) == -2.0
-    assert asympt_cJ(10) == 2.0
+    assert leading_term("cJ", 7) == -2.0
+    assert leading_term("cJ", 10) == 2.0
 
 
 def test_asympt_dG_log_structure():
@@ -169,7 +170,7 @@ def test_asympt_dG_log_structure():
     ac = asymptotic_constants()
     bound = math.log(abs(ac.d_G)) + 1e-12
     for n in range(5, 200, 7):
-        v = asympt_dG(n)
+        v = leading_term("dG", n)
         if v == 0:
             continue
         resid = (math.log(abs(v)) + n * math.log(table.rho_x)
@@ -179,7 +180,7 @@ def test_asympt_dG_log_structure():
 
 def test_c100_against_asymptotics():
     c100 = float(coeffs_h(100).coeffs[100])
-    assert abs(c100 / asympt_c(100) - 1) < 0.05
+    assert abs(c100 / leading_term("c", 100) - 1) < 0.05
 
 
 def test_dF_sign_agreement_at_50():
@@ -187,6 +188,17 @@ def test_dF_sign_agreement_at_50():
     n, exact, approx, eps, tf = rows[50]
     if abs(tf) >= 0.1:
         assert math.copysign(1, exact) == math.copysign(1, approx)
+
+
+def test_convergence_radii():
+    # h has its branch point at omega_1, J_BS ~ 2/x a pole at x = 0, and
+    # every log-variable family its singularities at distance rho_x
+    table = critical_points(1)
+    want = {"c": 1.0 - table.omega[0], "cJ": 1.0, "d": table.rho_x,
+            "dJ": table.rho_x, "dF": table.rho_x, "dG": table.rho_x}
+    assert sorted(FAMILIES) == sorted(want)
+    for family, radius in want.items():
+        assert convergence_radius(family) == pytest.approx(radius, rel=1e-15)
 
 
 def test_trig_factor_definition():
@@ -269,3 +281,5 @@ def test_unknown_family_rejected():
         diagnostic_epsilon("bogus", 10)
     with pytest.raises(ValueError):
         trig_factor("bogus", 3)
+    with pytest.raises(ValueError):
+        leading_term("bogus", 3)

@@ -1,5 +1,6 @@
 """CLI surface: outputs, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -102,6 +103,33 @@ def test_asympt_diagnostics(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,coeff_exact,coeff_asympt,epsilon,trig_factor"
     assert len(lines) == 30  # n = 2..30
+
+
+# SHA-256 of `hwkit --precision 17 asympt <family> 100`; the benchmark's
+# exact_tables max_rel_err is read off the n = 100 rows
+ASYMPT_DIGESTS = {
+    "c": "7f4832727484efb52f470180d71038d2352c443d860e5b8c3b7bb725c9a9f850",
+    "d": "d041766d47f033685366487c551f2bc0c75f53c50cf03188a159f1e37d53f595",
+    "cJ": "8068d257880ac7170dbf8551fb2fb8da23df71ce38bb6fda993379342412c5e8",
+    "dJ": "5648a8fa16a7ff0772398f5dc857b3250c9a077506f09be54e1dae6b3f9cf14c",
+    "dF": "91b3facb13d2fc0f54b447bdddccbfad206221803843f3682ca36372431f1566",
+    "dG": "6125167a9c7e00578b5ce646821d9524c1b9c00ea9793441c5fd6bda823583eb",
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    *((("--precision", "17", "asympt", family, "100"), digest)
+      for family, digest in ASYMPT_DIGESTS.items()),
+    (("constants",),
+     "1acc7ac4dee51a036ded6f41daba3243561e0b1f332e409988f3afbb0fffc772"),
+    (("density", "--t", "0.01", "--mu", "0.0", "--grid", "0.5", "2.0", "41"),
+     "3db572430a85068e33313a1c77366fc2c50902094e857428760cef87705bd76b")],
+    ids=[*ASYMPT_DIGESTS, "constants", "density"])
+def test_output_pinned(capsys, argv, digest):
+    # byte for byte; the density line is the README example
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family,order", [("dF", "0"), ("c", "1"), ("dJ", "-3")])
@@ -242,6 +270,21 @@ def test_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text().startswith("n,exact,float")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "F", "1.0"), ("constants",), ("asympt", "dJ", "30"),
+    ("density", "--t", "0.01", "--mu", "0.0", "--a", "1.0"),
+    ("theta", "2.0", "0.5", "asymptotic"), ("price", "table3")],
+    ids=lambda argv: argv[0])
+def test_series_format_outside_coeffs_is_refused(capsys, argv):
+    # only coeffs has a series form; the others printed CSV and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "series", *argv])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format series applies to coeffs only" in captured.err
 
 
 def test_precision_validation(capsys):

@@ -1,12 +1,16 @@
 """Exact-rational checks of the coefficient tables (no float comparisons)."""
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from hwkit import tables
+from hwkit.asympt import FAMILIES, diagnostic_epsilon
+from hwkit.cli import EXIT_OK, EXIT_USAGE, main
 from hwkit.rational import rat
 from hwkit.series import (DEFAULT_MAX_ORDER, RationalSeries, SeriesError,
                           series_compose, series_mul, series_to_text)
@@ -164,9 +168,12 @@ def test_riccati_rows_satisfy_the_riccati_identities(shift):
 @pytest.mark.parametrize("order", [*range(1, 13), DEFAULT_MAX_ORDER])
 def test_every_table_equals_the_three_equation_oracle(cold_cache, order):
     # the low orders run the solve's loops empty or once; the cap runs them
-    # longest
+    # longest.  One build per variable caches every table of its group, the
+    # order-1 J_BS tables too, which table() refuses
+    tables.table("h", order)
+    tables.table("h_log", order)
     for name, want in tables_from_three_equations(order).items():
-        assert tables._table(name, order) == want, name
+        assert tables._cache[name] == want, name
 
 
 def test_F_natural_is_U_integrated_once():
@@ -244,7 +251,55 @@ def test_exponent_minus_rate_identity():
         assert f_nat.coeffs[m] == j_log.coeffs[m] - rat((-1) ** m, fact)
 
 
+# the lowest order of each table: J_BS and its slope vanish at 1
+LOWEST = {"h": 1, "h_log": 1, "jbs_omega": 2, "jbs_log": 2, "F": 1, "G": 1,
+          "F_natural": 1, "G_natural": 1}
+NATURAL = {"c": "h", "d": "h_log", "cJ": "jbs_omega", "dJ": "jbs_log",
+           "dF": "F_natural", "dG": "G_natural"}
+
+
+def _via_cli(command):
+    """`hwkit <command> name order` as a function: its output, or its error
+    message as a ValueError when it exits 2 without output."""
+    def call(name, order):
+        with redirect_stdout(io.StringIO()) as out, \
+                redirect_stderr(io.StringIO()) as err:
+            code = main([command, name, str(order)])
+        if code == EXIT_USAGE and not out.getvalue():
+            raise ValueError(err.getvalue())
+        assert code == EXIT_OK, err.getvalue()
+        return out.getvalue()
+    return call
+
+
+ENTRY_POINTS = {"coeffs": lambda name, order: TABLE_GETTERS[name](order),
+                "table": tables.table, "natural_table": natural_table,
+                "diagnostic_epsilon": diagnostic_epsilon,
+                "cli coeffs": _via_cli("coeffs"), "cli asympt": _via_cli("asympt")}
+
+
+@pytest.mark.parametrize("entry, name", [
+    *(("coeffs", name) for name in TABLE_GETTERS),
+    *(("table", name) for name in LOWEST),
+    *(("natural_table", family) for family in FAMILIES),
+    *(("diagnostic_epsilon", family) for family in FAMILIES),
+    *(("cli coeffs", name) for name in tables.TABLES),
+    *(("cli asympt", family) for family in FAMILIES)])
+def test_every_entry_point_refuses_below_its_lowest_order(entry, name):
+    # each answers at its lowest order and refuses the one below; the
+    # diagnostics start at n = 2 for every family
+    if entry in ("diagnostic_epsilon", "cli asympt"):
+        lowest = 2
+    else:
+        lowest = LOWEST[NATURAL.get(name, name)]
+    ENTRY_POINTS[entry](name, lowest)
+    with pytest.raises(ValueError, match=f"order {lowest - 1} too small for"):
+        ENTRY_POINTS[entry](name, lowest - 1)
+
+
 def test_order_cap_and_validation():
+    with pytest.raises(SeriesError):
+        tables.table("bogus", 3)
     with pytest.raises(SeriesError):
         coeffs_h(0)
     with pytest.raises(SeriesError):
