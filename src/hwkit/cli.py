@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import asympt, tables
+from . import asympt, exact, tables
 from .series import series_to_text
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_coeffs)
 
     sp = sub.add_parser("eval", help="evaluate F, G or J_BS")
-    sp.add_argument("target", choices=("F", "G", "JBS"))
+    sp.add_argument("target", choices=exact.TARGETS)
     sp.add_argument("values", type=float, nargs="+")
     sp.add_argument("--order", type=int, default=24)
     sp.add_argument("--domain", type=float, nargs=2, default=None)

@@ -89,12 +89,11 @@ def make_evaluator(target: str, order: int,
     `domain` is the (lo, hi) window in the function's own argument; it
     must sit strictly inside the convergence disk of radius rho_x in the
     log variable, otherwise the series is divergent there and the request
-    is refused.
+    is refused.  An order below the target table's lowest (2 for J_BS,
+    1 for F and G) raises SeriesError, from `tables.table`.
     """
     if target not in exact.TARGETS:
         raise EvaluatorError(f"target must be one of {exact.TARGETS}")
-    if order < 1:
-        raise EvaluatorError("order must be >= 1")
     lo, hi = domain
     if not (0 < lo < hi):
         raise EvaluatorError("domain must satisfy 0 < lo < hi")

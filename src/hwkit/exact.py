@@ -48,12 +48,8 @@ _GUARD_ORDER = 24
 # solve_lambda(1/x) instead, so it stays bound here.
 _TRACED = (solve_zeta,)
 
-# exact Taylor table of each target in y = log(rho), looked up at call time
-_TABLES = {
-    "F": lambda order: tables.coeffs_F(order),
-    "G": lambda order: tables.coeffs_G(order),
-    "JBS": lambda order: tables.coeffs_jbs(max(order, 2), "log"),
-}
+# the tables.table name of each target's exact Taylor table in y = log(rho)
+_TABLES = {"F": "F", "G": "G", "JBS": "jbs_log"}
 TARGETS = tuple(_TABLES)
 # J_BS(x) ~ 2/x overflows a double at and below this x
 _JBS_X_MIN = 2.0 / sys.float_info.max
@@ -66,9 +62,10 @@ def target_table(name: str, order: int) -> tuple:
 
     The target is prefactor * sum coeffs[n] (log rho)^n + offset near
     rho = 1; offset and prefactor are the float values of the table's
-    symbolic `offset` and `sqrt(prefactor_sq)`.  J_BS starts at order 2.
+    symbolic `offset` and `sqrt(prefactor_sq)`.  An order below the
+    table's lowest (2 for J_BS, 1 otherwise) raises SeriesError.
     """
-    ser = _TABLES[name](order)
+    ser = tables.table(_TABLES[name], order)
     return (tuple(ser.float_coeffs()), _OFFSET_VALUES[ser.offset],
             math.sqrt(float(ser.prefactor_sq)))
 

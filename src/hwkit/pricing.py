@@ -13,8 +13,7 @@ integrates this density.  Working variables are logarithmic throughout
 exponent becomes -[F(e^z) - pi^2/2 + e^z cosh(x + z)]/t: a nonnegative
 bracket, minimized at the density peak, so exp never overflows and a
 running max-subtraction keeps the quadrature in range at t as small as
-0.0025.  Integration windows are picked adaptively from the decay of that
-bracket.  As e^z cosh(x + z) = (e^x e^{2z} + e^-x)/2, the exponent is
+0.0025.  As e^z cosh(x + z) = (e^x e^{2z} + e^-x)/2, the exponent is
 separable in e^x, so F and G are evaluated once per z rule, for every x.
 
 Prices come from the marginal density q(x) of x = log a (marginal): its
@@ -46,12 +45,16 @@ mass of the marginal that priced them.  norm_factor, a 1-D integral
 against the modified Bessel function K_{-mu}, is an independent route to
 n(tau) that no price path calls: the reference the mass is checked by.
 
-Every integral first probes F on one fixed grid of z = log rho to pick
-its window; the probe values F(e^z) are cached per F evaluator, filled
-on first use and held through a weak reference, so an evaluator's entry
-goes when the evaluator does (a callable that cannot be hashed or weakly
-referenced is probed afresh on each call).  The cache assumes F_eval is
-a pure function of rho.
+Every z integral takes its window from one rule (_z_window) and the x
+range [x_lo, x_hi] it serves: all x for n(tau) and the centre marginal,
+x >= log k for a call tail, x <= log k for a put tail, x = log a for f0.
+It holds the z where the bracket, least over that range at
+u* = clip(-z, x_lo, x_hi), is within O(tau) of its minimum, so deep
+tails keep the z that carry them.  F is probed on one fixed z grid, and
+the probe values are cached per F evaluator, held through a weak
+reference, so an entry goes with its evaluator (a callable that cannot
+be hashed or weakly referenced is probed afresh on each call).  The
+cache assumes F_eval is a pure function of rho.
 
 An F_eval or G_eval left as None is the default at PRICING_ORDER on
 DEFAULT_DOMAIN, built once and kept, so its probe stays cached; an
@@ -216,11 +219,6 @@ def joint_density_leading(a: float, v: float, t: float, mu: float,
 
 # -- adaptive integration windows ------------------------------------------------
 
-def _bracket_min_z(F_vals, z, ustar):
-    """F(e^z) - pi^2/2 + e^z cosh(ustar + z), vectorized over z."""
-    return F_vals - PI2_HALF + np.exp(z) * np.cosh(ustar + z)
-
-
 # the z grid every window probe evaluates F on
 _PROBE_Z = np.arange(-6.0, 6.0 + 1e-9, 0.02)
 _probe_cache = weakref.WeakKeyDictionary()     # F_eval -> F(exp(_PROBE_Z))
@@ -239,21 +237,23 @@ def _probe_F(F_eval):
     return Fv
 
 
-def _z_window(tau, mu, ustar_fn, F_eval, pad=1.3):
-    """[z_lo, z_hi] outside which the bracket exceeds its min by >> tau."""
+def _z_window(tau, mu, F_eval, x_lo=-np.inf, x_hi=np.inf):
+    """[z_lo, z_hi] for x = log a in [x_lo, x_hi]: the probe z where
+    F(e^z) - pi^2/2 + e^z cosh(u* + z), u* = clip(-z, x_lo, x_hi), is
+    within tau (46 + 8 (1 + |mu|)) of its least value, widened by 1.3."""
     span = _PROBE_Z
-    B = _bracket_min_z(_probe_F(F_eval), span, ustar_fn(span))
+    B = (_probe_F(F_eval) - PI2_HALF
+         + np.exp(span) * np.cosh(np.clip(-span, x_lo, x_hi) + span))
     B = np.where(np.isfinite(B), B, np.inf)
     bmin = float(B.min())
     if bmin == np.inf:
         raise QuadratureError(f"z-window probe (tau={tau}, mu={mu}): the "
                               f"bracket is not finite at any probe point")
     delta = tau * (46.0 + 8.0 * (1.0 + abs(mu)))
-    inside = B <= bmin + delta
-    idx = np.nonzero(inside)[0]
+    idx = np.nonzero(B <= bmin + delta)[0]
     z_lo, z_hi = span[idx[0]], span[idx[-1]]
     mid = span[int(np.argmin(B))]
-    return (mid + pad * (z_lo - mid) - 0.02, mid + pad * (z_hi - mid) + 0.02)
+    return (mid + 1.3 * (z_lo - mid) - 0.02, mid + 1.3 * (z_hi - mid) + 0.02)
 
 
 # -- the node-doubling policy and the marginal density of x = log a ------------
@@ -266,7 +266,7 @@ def _doubling(level, lo, hi, n0, what: str, agree=relative(_REL_TOL)):
                      _LEVELS, agree, what)
 
 
-_Z_NODES, _X_NODES = 128, 32    # first levels: z per build, x per option
+_Z_NODES, _X_NODES = 128, 32    # first levels: z per build or f0, x per option
 _DEGREE = 64          # Chebyshev degree of log q, from 65 points
 _CHEB_TOL = 1e-10     # largest allowed trailing coefficient of log q
 _CHOP = 1e-13         # coefficients past the last one above this are dropped
@@ -304,14 +304,19 @@ def _z_sums(x, w, c, zw, tau):
             np.dot(np.exp(L - top[..., None]), zw))
 
 
-def _z_integrals(x, z_win, n0, tau, mu, kernel, what):
-    """Per x, (shift, r) with e^shift r the z-integral of _z_sums, all
-    from the first z rule of _doubling, from n0 nodes, on which every r
-    agrees with the previous rule's to _REL_TOL of itself or, if its q
-    is _DEEP e-folds under the largest, of e^-_DEEP that q.  There a
-    value weighs nothing in an integral of q, and a piecewise F or G that
-    jumps under it (the series/closed-form switch) may keep it moving;
-    one rule for all keeps log q smooth in x."""
+def _log_q(M, S, x, tau, mu):
+    """log q(x) from its z-integral e^M S and the density's z-free factors."""
+    return (M + np.log(S) + mu * x
+            - (mu * mu * tau / 2 + math.log(2.0 * math.pi * tau)))
+
+
+def _z_integrals(x, z_win, tau, mu, kernel, what):
+    """log q per x, all from the first z rule of _doubling, from _Z_NODES
+    nodes, on which every z-integral agrees with the previous rule's to
+    _REL_TOL of itself or, if its q is _DEEP e-folds under the largest,
+    of e^-_DEEP that q.  There a value weighs nothing in an integral of
+    q, and a piecewise F or G that jumps under it (the series/closed-form
+    switch) may keep it moving; one rule for all keeps log q smooth in x."""
     shift = None
 
     def level(zn, zw):
@@ -321,12 +326,12 @@ def _z_integrals(x, z_win, n0, tau, mu, kernel, what):
         return S * np.exp(M - shift)
 
     def agree(r, prev):
-        log_q = shift + np.log(r) + mu * x
+        log_q = _log_q(shift, r, x, tau, mu)
         deep = np.exp(np.clip(log_q.max() - log_q - _DEEP, 0.0, 700.0))
         return np.all(np.abs(r - prev) <= _REL_TOL * r * deep)
 
-    r = _doubling(level, *z_win, n0, what, agree)
-    return shift, r
+    r = _doubling(level, *z_win, _Z_NODES, what, agree)
+    return _log_q(shift, r, x, tau, mu)
 
 
 def _x_window(log_q, lo, hi, free, what):
@@ -362,25 +367,30 @@ def _cheb_matrix():
 class Marginal:
     """The unnormalized density q(x) of x = log a at (tau, mu), on [lo, hi].
 
-    log q is a Chebyshev interpolant, summed to its last coefficient above
-    _CHOP; err, its largest trailing coefficient, bounds its relative error
-    in q.  Each integral of q is a row int (a e^x + b) q dx: mass() (that
-    is n(tau)) has (a, b) = (0, 1), mean() (1, 0), call(k) (1, -k) and
-    put(k) (-1, k); prices() runs mass, calls and puts as one x integral.
-    """
+    A build serves x from scan[0] to scan[1], a free end unbounded, and
+    takes its z window from that range; its x window is scanned from scan
+    (an infinite end: the z window's mirror image, widened by half), a
+    free end moving out.  log q is a Chebyshev interpolant, summed to its
+    last coefficient above _CHOP; err, its largest trailing coefficient,
+    bounds its relative error in q.  Each integral of q is a row
+    int (a e^x + b) q dx: mass() (n(tau)) has (a, b) = (0, 1), mean()
+    (1, 0), call(k) (1, -k) and put(k) (-1, k); prices() runs mass,
+    calls and puts as one x integral."""
 
-    def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
+    def __init__(self, tau, mu, F_eval, G_eval, scan, free):
         self.tau, self.mu, self.F_eval, self.G_eval = tau, mu, F_eval, G_eval
+        z_lo, z_hi = z_win = _z_window(
+            tau, mu, F_eval, *np.where(free, (-np.inf, np.inf), scan))
+        mid, half = -0.5 * (z_lo + z_hi), 0.75 * (z_hi - z_lo)
+        scan = np.where(np.isinf(scan), (mid - half, mid + half), scan)
         what = (f"marginal of log a (tau={tau}, mu={mu}, x from "
                 f"{scan[0]:.6g} to {scan[1]:.6g})")
-        const = mu * mu * tau / 2 + math.log(2.0 * math.pi * tau)
         kernel = _z_kernel(tau, mu, F_eval, G_eval)
         zn, zw = gauss_legendre_nodes(*z_win, _Z_NODES)
         w, c = kernel(zn)
 
         def scan_log_q(x):
-            M, S = _z_sums(x, w, c, zw, tau)
-            return M + np.log(S) + mu * x - const
+            return _log_q(*_z_sums(x, w, c, zw, tau), x, tau, mu)
 
         self.lo, self.hi, peak = _x_window(scan_log_q, *scan, free, what)
         self.coeffs, self.err = np.array([-np.inf]), 0.0
@@ -388,8 +398,8 @@ class Marginal:
             return
         x = 0.5 * (self.lo + self.hi + (self.hi - self.lo)
                    * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE))
-        shift, r = _z_integrals(x, z_win, _Z_NODES, tau, mu, kernel, what)
-        coeffs = _cheb_matrix() @ (shift + np.log(r) + mu * x - const)
+        coeffs = _cheb_matrix() @ _z_integrals(x, z_win, tau, mu, kernel,
+                                               what)
         self.err = float(np.abs(coeffs[-3:]).max())
         if self.err > _CHEB_TOL:
             raise QuadratureError(f"{what}: Chebyshev tail {self.err:.2g} "
@@ -471,11 +481,8 @@ class Marginal:
 
     def _tail(self, log_k, k, side):
         """A strike the window does not hold, on a build from log k out."""
-        clip = np.maximum if side > 0 else np.minimum
-        z_win = _z_window(self.tau, self.mu, lambda z: clip(log_k, -z),
-                          self.F_eval)
         step = side * 0.25 * (self.hi - self.lo)
-        tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval, z_win,
+        tail = Marginal(self.tau, self.mu, self.F_eval, self.G_eval,
                         sorted((log_k, log_k + step)), (side < 0, side > 0))
         return tail._rows([side], [-side * k], [tail.lo], [tail.hi],
                           "option integral")[0]
@@ -492,17 +499,12 @@ def _strikes(k, what):
 
 
 def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
-    """The marginal density of log a at (tau, mu): its z rule on the
-    normalization's window, its x window scanned from that window's mirror
-    image, widened by half."""
+    """The marginal density of log a at (tau, mu): the build for every x."""
     _require_finite(tau=tau, mu=mu)
     if tau <= 0:
         raise ValueError("marginal needs tau > 0")
     F_eval, G_eval = _evaluators(F_eval, G_eval)
-    z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
-    mid, half = -0.5 * (z_lo + z_hi), 0.75 * (z_hi - z_lo)
-    return Marginal(tau, mu, F_eval, G_eval, (z_lo, z_hi),
-                    (mid - half, mid + half), (True, True))
+    return Marginal(tau, mu, F_eval, G_eval, (-np.inf, np.inf), (True, True))
 
 
 # -- public operations -----------------------------------------------------------
@@ -531,8 +533,7 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
         bracket = Fv - PI2_HALF + rho
         return float(np.dot(Gv * kv * np.exp(-bracket / tau), zw))
 
-    z_lo, z_hi = _z_window(tau, mu, lambda z: -z, F_eval)
-    val = _doubling(level, z_lo, z_hi, 64,
+    val = _doubling(level, *_z_window(tau, mu, F_eval), 64,
                     f"normalization integral (tau={tau}, mu={mu})")
     return val * math.exp(-0.5 * mu * mu * tau) / (math.pi * tau)
 
@@ -546,8 +547,8 @@ def norm_direct(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
 def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
                norm: Optional[float] = None) -> float:
     """Normalized leading density f0(a, t) of the time average w.r.t. da/a:
-    the marginal's z-integral at x = log a, on a z window of its own, over
-    norm (by default the marginal's mass, norm_direct)."""
+    q(log a), the marginal's z-integral on the window of the one x = log a,
+    over norm (by default the marginal's mass, norm_direct)."""
     _require_finite(a=a, t=t, mu=mu)
     if a <= 0 or t <= 0:
         raise ValueError("f0_density needs a > 0 and t > 0")
@@ -555,12 +556,10 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     if norm is None:
         norm = norm_direct(t, mu, F_eval, G_eval)
     x = math.log(a)
-    z_win = _z_window(t, mu, lambda z: np.full_like(z, x), F_eval, pad=1.4)
-    shift, r = _z_integrals(x, z_win, 64, t, mu,
-                            _z_kernel(t, mu, F_eval, G_eval),
-                            f"density integral (a={a}, t={t}, mu={mu})")
-    return (math.exp(shift) * r
-            * math.exp(mu * x - 0.5 * mu * mu * t) / (2.0 * math.pi * t) / norm)
+    log_q = _z_integrals(x, _z_window(t, mu, F_eval, x, x), t, mu,
+                         _z_kernel(t, mu, F_eval, G_eval),
+                         f"density integral (a={a}, t={t}, mu={mu})")
+    return math.exp(log_q) / norm
 
 
 def reduced_mean(tau: float, mu: float, F_eval=None, G_eval=None) -> float:

@@ -52,6 +52,18 @@ def test_unknown_family_rejected_by_argparse(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("target, order, table", [
+    ("JBS", "1", "jbs_log"), ("F", "0", "F")])
+def test_eval_order_below_the_tables_lowest_is_a_usage_error(capsys, target,
+                                                             order, table):
+    # J_BS's table starts at order 2: order 1 is refused, not priced as 2
+    code, out, err = run_cli(capsys, "--precision", "17", "eval", target,
+                             "1.01", "1.2", "--order", order)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"order {order} too small for table {table} " in err
+
+
 def test_eval_F_at_one(capsys):
     code, out, _ = run_cli(capsys, "--precision", "5", "eval", "F", "1.0")
     assert code == EXIT_OK
@@ -123,10 +135,13 @@ ASYMPT_DIGESTS = {
     (("constants",),
      "1acc7ac4dee51a036ded6f41daba3243561e0b1f332e409988f3afbb0fffc772"),
     (("density", "--t", "0.01", "--mu", "0.0", "--grid", "0.5", "2.0", "41"),
-     "3db572430a85068e33313a1c77366fc2c50902094e857428760cef87705bd76b")],
-    ids=[*ASYMPT_DIGESTS, "constants", "density"])
+     "3db572430a85068e33313a1c77366fc2c50902094e857428760cef87705bd76b"),
+    (("--precision", "17", "price", "table3"),
+     "70546dc73131bcdb733dc99ff9053861f00b85343045407c8f0dc0bdef2a4edd")],
+    ids=[*ASYMPT_DIGESTS, "constants", "density", "table3"])
 def test_output_pinned(capsys, argv, digest):
-    # byte for byte; the density line is the README example
+    # byte for byte; the density line is the README example, and CI
+    # checks the table3 prices against the same pin
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

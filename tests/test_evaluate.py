@@ -12,6 +12,7 @@ from hwkit.evaluate import (DEFAULT_DOMAIN, EvaluatorError, make_evaluator,
 from hwkit.exact import F_exact, G_exact, JBS_exact, PI2_HALF
 from hwkit.roots import (solve_kappa, solve_lambda, solve_tan_eta, solve_xi,
                          solve_zeta)
+from hwkit.series import SeriesError
 from hwkit.tables import coeffs_G
 
 NAN, INF = math.nan, math.inf
@@ -34,8 +35,12 @@ def test_domain_outside_disk_rejected():
 def test_bad_inputs_rejected():
     with pytest.raises(EvaluatorError):
         make_evaluator("H", 6)
-    with pytest.raises(EvaluatorError):
-        make_evaluator("F", 0)
+    # an order under the lowest of the target's table, read from tables
+    for target, order, table in (("F", 0, "F"), ("G", 0, "G"),
+                                 ("JBS", 1, "jbs_log")):
+        with pytest.raises(SeriesError,
+                           match=f"order {order} too small for table {table} "):
+            make_evaluator(target, order)
     ev = make_evaluator("F", 6)
     with pytest.raises(EvaluatorError):
         ev(-1.0)
@@ -72,11 +77,12 @@ def test_non_finite_and_nonpositive_refused(fn, arg, error):
 
 def test_offsets_and_prefactors_are_exact():
     for order in (1, 6, 24):
-        F, G, J = (make_evaluator(t, order) for t in ("F", "G", "JBS"))
+        F, G = (make_evaluator(t, order) for t in ("F", "G"))
         assert (F.offset, F.prefactor) == (PI2_HALF - 1.0, 1.0)
         assert (G.offset, G.prefactor) == (0.0, math.sqrt(3.0))
-        assert (J.offset, J.prefactor) == (0.0, 1.0)
-    assert make_evaluator("JBS", 1).order == 2
+    for order in (2, 6, 24):        # J_BS's table starts at order 2
+        J = make_evaluator("JBS", order)
+        assert (J.offset, J.prefactor, J.order) == (0.0, 1.0, order)
 
 
 def test_outer_path_looks_up_closed_forms_at_call_time(monkeypatch):

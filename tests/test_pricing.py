@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwkit import pricing
+from hwkit import exact, pricing
 from hwkit.evaluate import make_evaluator
 from hwkit.exact import JBS_exact
 from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
@@ -329,8 +329,9 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
     # for the x-window scan, then 128 and 256 for its Chebyshev values;
     # each option or moment integral over x then starts at 32, and a
     # batch runs its mass, calls and puts as one such x integral.  The 1-D
-    # normalization and density integrals start at 64; all of these
-    # converge at their second level at this scenario
+    # normalization integral starts at 64, and f0, the marginal's
+    # z-integral at one x, at 128; all of these converge at their second
+    # level at this scenario
     F6, G6 = evals_pricing
     rp = ReducedParams.from_scenario(TABLE3_SCENARIOS[4])
     sizes = []
@@ -350,7 +351,7 @@ def test_node_sequence_of_each_integral(evals_pricing, monkeypatch):
                                              with_put=True)}
     build = [128, 128, 256]
     expect = {"call": build + [32, 64], "put": build + [32, 64],
-              "norm": [64, 128], "f0": [64, 128],
+              "norm": [64, 128], "f0": [128, 256],
               "one": build + [32, 64], "mean": build + [32, 64],
               "batch": build + [32, 64]}
     for name, run in runs.items():
@@ -435,15 +436,24 @@ def test_separable_kernel_matches_the_cosh_form(evals_pricing, monkeypatch):
     # log of the z-sum on each build's 128- and 256-node z rules, over its
     # x window and its scan: every build of a batch at table3's (tau, mu),
     # with the ladder's lowest and highest strikes at three of them, which
-    # builds put tails at (0.0025, 3)
+    # builds put tails at (0.0025, 3).  Each build works out its z window
+    # once
     F6, G6 = evals_pricing
-    builds = []
+    builds, windows = [], []
+    z_window = pricing._z_window
+
+    def recording_window(*args):
+        windows.append(z_window(*args))
+        return windows[-1]
 
     class Recording(pricing.Marginal):
-        def __init__(self, tau, mu, F_eval, G_eval, z_win, scan, free):
-            super().__init__(tau, mu, F_eval, G_eval, z_win, scan, free)
-            builds.append((self, z_win, scan, free))
+        def __init__(self, tau, mu, F_eval, G_eval, scan, free):
+            before = len(windows)
+            super().__init__(tau, mu, F_eval, G_eval, scan, free)
+            assert len(windows) == before + 1
+            builds.append((self, windows[-1], scan, free))
 
+    monkeypatch.setattr(pricing, "_z_window", recording_window)
     monkeypatch.setattr(pricing, "Marginal", Recording)
     scenarios = list(TABLE3_SCENARIOS) + [
         Scenario(s.S0, s.r, s.sigma, s.T, K)
@@ -453,7 +463,11 @@ def test_separable_kernel_matches_the_cosh_form(evals_pricing, monkeypatch):
     assert any((m.tau, m.mu, free) == (first.tau, first.mu, (True, False))
                for m, _, _, free in builds)
     assert len({(m.tau, m.mu) for m, _, _, _ in builds}) == 5
+    assert len(windows) == len(builds)
     for m, z_win, scan, _ in builds:
+        # a centre build scans from its z window's mirror image, widened
+        mid, half = -0.5 * (z_win[0] + z_win[1]), 0.75 * (z_win[1] - z_win[0])
+        scan = np.where(np.isinf(scan), (mid - half, mid + half), scan)
         x = np.linspace(min(m.lo, scan[0]), max(m.hi, scan[1]), 97)
         for n in (128, 256):
             zn, zw = gauss_legendre_nodes(*z_win, n)
@@ -466,14 +480,16 @@ def test_separable_kernel_matches_the_cosh_form(evals_pricing, monkeypatch):
 
 def _oracle_2d(tau, mu, k, payoff, F_eval, G_eval, n=384):
     """The (z, u) density integral in its cosh-bracket, log-payoff form on
-    one n x n rule.  z runs over the z window of the payoff's u*, the u
-    minimizing the exponent on the payoff's support; u runs, per z node,
-    where cosh(u + z) stays within 80 tau e^{-z} of its value at u*,
-    clipped to the support."""
+    one n x n rule.  z runs over the z window of the payoff's support
+    in u = log a; u runs, per z node, where cosh(u + z) stays within
+    80 tau e^{-z} of its value at u*, the u minimizing the exponent on
+    the support, clipped to the support."""
     log_k = math.log(k) if k > 0 else -math.inf
     ustar = {"call": lambda z: np.maximum(log_k, -z),
              "put": lambda z: np.minimum(log_k, -z)}.get(payoff, lambda z: -z)
-    z_lo, z_hi = pricing._z_window(tau, mu, ustar, F_eval)
+    support = {"call": (log_k, math.inf),
+               "put": (-math.inf, log_k)}.get(payoff, ())
+    z_lo, z_hi = pricing._z_window(tau, mu, F_eval, *support)
     zn, zw = gauss_legendre_nodes(z_lo, z_hi, n)
     reach = np.arccosh(np.cosh(ustar(zn) + zn) + 80.0 * tau / np.exp(zn))
     u_lo, u_hi = -zn - reach, -zn + reach
@@ -518,13 +534,19 @@ def test_core_matches_log_form_oracle(evals_pricing, scenario):
     (0.0025, -0.9, 2.5, "call", True), (0.0225, 3.0, 9.0, "call", True),
     (0.125, -0.6, 0.06, "put", True), (0.0025, 3.0, 1.6, "call", False),
     (0.0025, -0.9, 0.6, "put", False), (0.125, 3.0, 45.0, "call", False),
-    (0.125, -0.6, 200.0, "call", True)])
+    (0.125, -0.6, 200.0, "call", True), (0.0225, -0.6, 200.0, "call", True),
+    (0.0225, 3.0, 200.0, "call", True), (0.0225, -0.9, 62.98, "call", True),
+    (0.0025, 3.0, 10.25, "call", True), (0.125, -0.6, 0.01, "put", True),
+    (0.0225, 3.0, 0.05, "put", True)])
 def test_strikes_near_or_past_the_window_edge_match_the_oracle(
         evals_pricing, tau, mu, k, payoff, outside):
     # the out-of-the-money side starts past the window's edge, or too
     # close to it for the window to hold its integral: its own tail build
-    # prices it, tiny but not zero.  The last two tails reach z where the
-    # order-6 F and G switch from series to closed form and jump
+    # prices it, tiny but not zero.  The tails at k = 45 and 200 reach z
+    # where the order-6 F and G switch from series to closed form and
+    # jump.  The last six lie between 1e-80 and 1e-255; the four calls
+    # among them hold only on a z window centred on the tail's own x
+    # range, as the centre build's window misses the z that carry them
     F6, G6 = evals_pricing
     m = marginal(tau, mu, F6, G6)
     assert (not m.lo <= math.log(k) <= m.hi) == outside
@@ -648,6 +670,30 @@ def test_order_6_prices_above_tau_one_eighth(evals_pricing, tau):
     assert np.abs(c - p - (mean - ks * mass)).max() <= 1e-12 * mean
 
 
+_FAR_X_BAND = pytest.mark.xfail(
+    strict=True, raises=QuadratureError,
+    reason="far in x (log a near 7.5 here, about 6.6-9.1 at (0.125, -0.6)) "
+           "the z integrand sits on the order-6 F and G's series/closed-form "
+           "jump at rho = 0.04, and its z rules do not converge in 4 levels "
+           "(ROADMAP items 3 and 6)")
+_FAR_X_RUNS = {
+    "f0": lambda **ev: f0_density(math.exp(7.5), 0.0225, 3.0, **ev),
+    "call": lambda **ev: price_call_reduced(1608.4, 0.0225, 3.0, **ev)}
+
+
+@pytest.mark.parametrize("evaluators", [
+    pytest.param("order 6", marks=_FAR_X_BAND), "closed forms"])
+@pytest.mark.parametrize("run", sorted(_FAR_X_RUNS))
+def test_far_x_band(evals_pricing, run, evaluators):
+    # f0 at x = 7.5 and the call at k = 1608.4 (log k = 7.38) at
+    # (0.0225, 3): the closed forms, smooth across rho = 0.04, give
+    # 4.2e-212 and 3.6e-207
+    ev = {"order 6": evals_pricing,
+          "closed forms": (exact.F_exact, exact.G_exact)}[evaluators]
+    value = _FAR_X_RUNS[run](F_eval=ev[0], G_eval=ev[1])
+    assert 1e-215 < value < 1e-200
+
+
 def test_tiny_sigma_ends_in_typed_error_without_warning():
     # sigma = 0.01: tau = 2.5e-5, mu = 999.  The marginal's z-integrals
     # run out of levels, without an overflow warning on the way
@@ -678,13 +724,12 @@ def test_z_window_same_with_and_without_probe_cache(evals_pricing, evals40,
     F = {"order 6": F6, "order 40": evals40[0],
          "plain callable": lambda rho: np.exp(-rho) + F6(rho)}[kind]
     log_k = math.log(1.1)
-    ustars = (lambda z: -z, lambda z: np.maximum(log_k, -z),
-              lambda z: np.minimum(log_k, -z))
+    x_ranges = ((), (log_k, math.inf), (-math.inf, log_k), (log_k, log_k))
     for tau, mu in ((0.0025, 3.0), (0.0625, -0.6)):
-        for ustar in ustars:
-            uncached = pricing._z_window(tau, mu, ustar, _Unhashable(F))
-            assert pricing._z_window(tau, mu, ustar, F) == uncached
-            assert pricing._z_window(tau, mu, ustar, F) == uncached
+        for x_range in x_ranges:
+            uncached = pricing._z_window(tau, mu, _Unhashable(F), *x_range)
+            assert pricing._z_window(tau, mu, F, *x_range) == uncached
+            assert pricing._z_window(tau, mu, F, *x_range) == uncached
     probe = pricing._probe_cache[F]
     assert np.array_equal(probe, F(np.exp(pricing._PROBE_Z)))
     assert not probe.flags.writeable
@@ -692,16 +737,16 @@ def test_z_window_same_with_and_without_probe_cache(evals_pricing, evals40,
 
 def test_probe_cache_does_not_grow_with_fresh_wrappers(evals_pricing):
     F6 = evals_pricing[0]
-    pricing._z_window(0.01, 0.0, lambda z: -z, F6)
+    pricing._z_window(0.01, 0.0, F6)
     size = len(pricing._probe_cache)
     for _ in range(5):
         wrapper = lambda rho: F6(rho)  # noqa: E731 -- a new callable each pass
-        pricing._z_window(0.01, 0.0, lambda z: -z, wrapper)
+        pricing._z_window(0.01, 0.0, wrapper)
         assert len(pricing._probe_cache) == size + 1
         del wrapper
         gc.collect()
         assert len(pricing._probe_cache) == size
-    pricing._z_window(0.01, 0.0, lambda z: -z, _Unhashable(F6))
+    pricing._z_window(0.01, 0.0, _Unhashable(F6))
     assert len(pricing._probe_cache) == size
 
 
