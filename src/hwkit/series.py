@@ -21,9 +21,12 @@ coefficient becomes a Fraction once.
 
 * series_mul: both operands scaled, one integer convolution.
 * series_div, series_sqrt: triangular recurrences that hold the output so
-  far as integers over one running denominator; each new term is one
-  integer dot product and one rational, and the vector is rescaled only
-  when a new term's denominator does not divide the running one.
+  far as integers over one running denominator D.  Each new term q is one
+  integer dot product and arrives as q D = num/div; _append_term takes
+  g = gcd(num, div), appends num/g and rescales the row by div/g, so D
+  stays the least common denominator of the terms so far (one gcd per
+  term, no Fraction and no lcm on the way), and the output coefficient
+  is one Fraction of the appended numerator over D.
 * series_compose: the inner series' powers are built by integer
   convolution with a content-gcd reduction per step, and the outer sums
   f_k s^k as one integer vector over a running denominator.  Powers are
@@ -133,25 +136,22 @@ def _int_conv(a, b, n):
     return out
 
 
-def _append_scaled(rows, den, qs):
-    """Append each rational qs[i] to the integer vector rows[i], in place.
+def _append_term(nums, den, num, div):
+    """Append q = num / (div den) to the integer row nums, held over den.
 
-    Every row is held over the one common denominator den.  Returns the
-    new one: when some q's denominator does not divide den, every row is
-    rescaled once by lcm // den, also the rows past len(qs), which get
-    nothing appended.
+    One gcd: with g = gcd(num, div), every entry is rescaled by div // g
+    and num // g is appended, in place.  Returns the new running
+    denominator den * (div // g), the least multiple of den over which q
+    is an integer, i.e. lcm(den, denominator of q).  div is nonzero.
     """
-    lcm = den
-    for q in qs:
-        lcm = math.lcm(lcm, q.denominator)
-    if lcm != den:
-        up = lcm // den
-        for nums in rows:
-            nums[:] = [c * up for c in nums]
-        den = lcm
-    for nums, q in zip(rows, qs):
-        nums.append(q.numerator * (den // q.denominator))
-    return den
+    if div < 0:
+        num, div = -num, -div
+    g = math.gcd(num, div)
+    up = div // g
+    if up != 1:
+        nums[:] = [c * up for c in nums]
+    nums.append(num // g)
+    return den * up
 
 
 def series_add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
@@ -190,8 +190,8 @@ def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
 
     Needs b[0] != 0.  The divisor is scaled to integers B/db and the
     quotient so far is held as integers N over one running denominator D,
-    so each new term is one integer dot product and one rational:
-    q_k = (a_k db D - sum_i B_i N_{k-i}) / (D B_0).
+    so each new term is one integer dot product and one gcd:
+    q_k D = (a_k db D - sum_i B_i N_{k-i}) / B_0, with a_k = p/q.
     """
     if a.offset or b.offset:
         raise SeriesError("offset-carrying series cannot be divided")
@@ -206,9 +206,8 @@ def series_div(a: RationalSeries, b: RationalSeries) -> RationalSeries:
         ak = a.coeffs[k]
         p, q = ak.numerator, ak.denominator
         dot = sum(map(mul, tail[:k], reversed(N)))
-        c = Fraction(p * db * D - q * dot, q * D * B[0])
-        out.append(c)
-        D = _append_scaled((N,), D, (c,))
+        D = _append_term(N, D, p * db * D - q * dot, q * B[0])
+        out.append(Fraction(N[k], D))
     return RationalSeries(tuple(out), a.prefactor_sq / b.prefactor_sq)
 
 
@@ -266,8 +265,7 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
     Hartman-Watson prefactor that factor is 3).  The recurrence
     2 r_0 r_k = a_k / prefactor_sq - sum_{0<i<k} r_i r_{k-i} runs with the
     root so far held as integers N over one running denominator D: each
-    new term is one integer dot product (halved by symmetry) and one
-    rational.
+    new term is one integer dot product (halved by symmetry) and one gcd.
     """
     if a.offset:
         raise SeriesError("offset-carrying series has no exact square root")
@@ -289,12 +287,11 @@ def series_sqrt(a: RationalSeries, prefactor_sq=1) -> RationalSeries:
         dot = 2 * sum(map(mul, half, reversed(N[k - len(half):k])))
         if k % 2 == 0:
             dot += N[k // 2] * N[k // 2]
-        # r_k = (a_k/pf - dot/D^2) / (2 r0)
+        # r_k D = (a_k/pf - dot/D^2) D / (2 r0)
         qn = ak.denominator * pn
-        D2 = D * D
-        c = Fraction((ak.numerator * pd * D2 - qn * dot) * rd, qn * D2 * rn2)
-        out.append(c)
-        D = _append_scaled((N,), D, (c,))
+        D = _append_term(N, D, (ak.numerator * pd * D * D - qn * dot) * rd,
+                         qn * D * rn2)
+        out.append(Fraction(N[k], D))
     return RationalSeries(tuple(out), pf)
 
 

@@ -28,7 +28,8 @@ every table follows from U and h without another product:
   sqrt(z) tanh(sqrt z / 2) = Q(z) - 1/g(z) holds at z = h, where g(h) = x,
   so J(h) = h/2 - U - 1 + 1/x, and 1/x is e^-y or 1/(1+w).
 * F(h) = h/2 - U + (pi^2/2 - 1), so in y theta F = 1 + U: F_n = U_{n-1}/n
-  from n = 2, and J_n = F_n + (-1)^n/n!.
+  from n = 2, and J_n = F_n + (-1)^n/n! (one Fraction sum against the
+  small n!).
 * G(h) = sqrt(h/U) = sqrt(3) sqrt(theta h / 6), with G^2 = theta h / 2 =
   1 + U + theta U, so G takes U in y one order higher.
 
@@ -43,8 +44,14 @@ printed names.  Variable conventions (this bites -- see coeffs_F below):
   natural-variable tables (used by the coefficient-asymptotics
   diagnostics) come from flip_odd_signs().
 
-All results are cached at the largest order ever requested and sliced,
-which is sound because coefficient n of a table depends only on
+Each table has its own builder (_BUILDERS), which returns that table and
+only what it gets for free: {h}, {jbs_omega}, {h_log}, {F, F_natural,
+jbs_log}, {G, G_natural}.  A build never forms a table nobody asked for,
+and the builders of one variable share its Riccati solve, which _cache
+keeps beside the tables; so one solve in each variable serves every
+table of that variable, and emptying _cache makes the next build cold.
+Solves and tables are cached at the largest order ever requested and
+sliced, which is sound because coefficient n of a table depends only on
 coefficients up to n of h and U (n + 1 for G).
 """
 
@@ -52,11 +59,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .rational import ZERO
 from .series import (DEFAULT_MAX_ORDER, OFFSET_PI2_HALF_MINUS_1, RationalSeries,
-                     SeriesError, _append_scaled, revert_series, series_compose,
+                     SeriesError, _append_term, revert_series, series_compose,
                      series_div, series_sqrt)
 
 # perfbench/tracing.py TARGETS wraps these four names on this module, so
@@ -93,7 +100,7 @@ def _riccati(order: int, shift: int):
             r += nu[(n + 1) // 2] ** 2
         t = ((4 * (1 + b) * nu[n - 1] - 2 * shift * k) * den
              - n * (2 + shift * n) * p - n * (n + 1) * r)
-        new = _append_scaled((nu,), den, (Fraction(t, 2 * n * (2 * n + 1) * den ** 2),))
+        new = _append_term(nu, den, t, 2 * n * (2 * n + 1) * den)
         up, den = new // den, new
         p = 4 * den * nu[n] + r * up * up
         k = 2 * n * nu[n] + 2 * (1 + b) * nu[n - 1] - shift * k * up
@@ -116,42 +123,67 @@ def flip_odd_signs(a: RationalSeries) -> RationalSeries:
                           a.prefactor_sq, a.offset)
 
 
-# -- cached master tables ------------------------------------------------------
+# -- cached tables -------------------------------------------------------------
 
 # The closed forms evaluate the kernels at h(1/rho); expanding in
 # y = log rho therefore gives the kernels at h(e^{-y}), i.e. the odd-sign-
 # flipped tables.  "natural" tables keep +y as the argument of h; they are
-# what the coefficient asymptotics describe.  One solve in each variable
-# builds every table of its group, each coefficient one Fraction.
+# what the coefficient asymptotics describe.  Every builder in y solves
+# one order past its table, as G needs, so that all of them share one solve.
 
-def _log_tables(order: int) -> dict:
-    (k, u), den = _riccati(order + 1, 0)    # theta h_m = k_{m+1} in y
-    f_nat, jbs, fact = [ZERO, Fraction(1)], [ZERO, ZERO], 1
-    for n in range(2, order + 1):           # F_n = U_{n-1}/n, J_n = F_n + (-1)^n/n!
-        f_nat.append(Fraction(u[n - 1], n * den))
-        jbs.append(Fraction(fact * u[n - 1] + (-1) ** n * den, n * fact * den))
+def _solve(order: int, shift: int):
+    """_riccati(order, shift), cached at the largest order asked for; its
+    rows may run past `order`."""
+    key = ("riccati", shift)
+    have = _cache.get(key)
+    if have is None or len(have[0][1]) <= order:
+        have = _cache[key] = _riccati(order, shift)
+    return have
+
+
+def _h_log(order: int) -> dict:
+    (k, _), den = _solve(order + 1, 0)
+    return {"h_log": _h(k, den, order)}
+
+
+def _F(order: int) -> dict:
+    (_, u), den = _solve(order + 1, 0)
+    f_nat = [ZERO, Fraction(1)]             # F_n = U_{n-1}/n in y
+    f_nat.extend(Fraction(u[n - 1], n * den) for n in range(2, order + 1))
+    jbs, fact = [ZERO], 1                   # J_n = F_n + (-1)^n/n!
+    for n in range(1, order + 1):
         fact *= n
+        jbs.append(f_nat[n] + Fraction((-1) ** n, fact))
     f_nat = RationalSeries(tuple(f_nat), offset=OFFSET_PI2_HALF_MINUS_1)
+    return {"F": flip_odd_signs(f_nat), "F_natural": f_nat,
+            "jbs_log": RationalSeries(tuple(jbs))}
+
+
+def _G(order: int) -> dict:
+    (k, _), den = _solve(order + 1, 0)      # G^2 = theta h / 2, theta h_m = k_{m+1}
     g_sq = RationalSeries(tuple(Fraction(c, 2 * den) for c in k[1:order + 2]))
     g_nat = series_sqrt(g_sq, prefactor_sq=3)
-    return {"h_log": _h(k, den, order), "jbs_log": RationalSeries(tuple(jbs)),
-            "F_natural": f_nat, "G_natural": g_nat,
-            "F": flip_odd_signs(f_nat), "G": flip_odd_signs(g_nat)}
+    return {"G": flip_odd_signs(g_nat), "G_natural": g_nat}
 
 
-def _omega_tables(order: int) -> dict:
-    (k, u), den = _riccati(order, 1)        # J_n = h_n/2 - U_n + (-1)^n
+def _h_omega(order: int) -> dict:
+    (k, _), den = _solve(order, 1)
+    return {"h": _h(k, den, order)}
+
+
+def _jbs_omega(order: int) -> dict:
+    (k, u), den = _solve(order, 1)          # J_n = h_n/2 - U_n + (-1)^n
     jbs = (Fraction(k[n] - 2 * n * (u[n] - (-1) ** n * den), 2 * n * den)
            for n in range(1, order + 1))
-    return {"h": _h(k, den, order), "jbs_omega": RationalSeries((ZERO, *jbs))}
+    return {"jbs_omega": RationalSeries((ZERO, *jbs))}
 
 
 # name: (builder, lowest order); J_BS and its slope vanish at 1, so its
 # tables start at order 2.  natural_table reaches the *_natural tables.
-_BUILDERS = {"h": (_omega_tables, 1), "h_log": (_log_tables, 1),
-             "jbs_omega": (_omega_tables, 2), "jbs_log": (_log_tables, 2),
-             "F": (_log_tables, 1), "G": (_log_tables, 1),
-             "F_natural": (_log_tables, 1), "G_natural": (_log_tables, 1)}
+_BUILDERS = {"h": (_h_omega, 1), "h_log": (_h_log, 1),
+             "jbs_omega": (_jbs_omega, 2), "jbs_log": (_F, 2),
+             "F": (_F, 1), "G": (_G, 1),
+             "F_natural": (_F, 1), "G_natural": (_G, 1)}
 TABLES = tuple(name for name in _BUILDERS if not name.endswith("_natural"))
 # coefficient family (hwkit.asympt) -> its table in the natural variable
 _NATURAL = {"c": "h", "d": "h_log", "cJ": "jbs_omega", "dJ": "jbs_log",
@@ -160,10 +192,14 @@ _NATURAL = {"c": "h", "d": "h_log", "cJ": "jbs_omega", "dJ": "jbs_log",
 
 def table(name: str, order: int) -> RationalSeries:
     """The exact table `name` (one of TABLES, F_natural or G_natural) to
-    `order`; SeriesError below its lowest order or above the cap."""
+    `order`; SeriesError for an order that is not an integer, below the
+    table's lowest order or above the cap."""
     if name not in _BUILDERS:
         raise SeriesError(f"unknown table {name!r}")
-    lowest = _BUILDERS[name][1]
+    if isinstance(order, bool) or not hasattr(order, "__index__"):
+        raise SeriesError(f"order must be an integer, not {order!r}")
+    order = index(order)                    # a numpy integer becomes an int
+    builder, lowest = _BUILDERS[name]
     if order < lowest:
         raise SeriesError(f"order {order} too small for table {name} "
                           f"(need >= {lowest})")
@@ -173,7 +209,7 @@ def table(name: str, order: int) -> RationalSeries:
     with _cache_lock:
         have = _cache.get(name)
         if have is None or have.order < order:
-            for member, built in _BUILDERS[name][0](order).items():
+            for member, built in builder(order).items():
                 kept = _cache.get(member)
                 if kept is None or kept.order < order:
                     _cache[member] = built

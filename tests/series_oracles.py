@@ -16,19 +16,21 @@ coefficient by coefficient.
 
 riccati_three_equations is an earlier solve of the tables: all three
 Riccati equations, V's included, order by order with theta applied to
-each row, four dot products per order.  Tests compare the solve in
+each row, four dot products per order, each order's three new terms
+appended as Fractions with one lcm (_append_scaled), independently of
+the one-gcd append of hwkit.series.  Tests compare the solve in
 hwkit.tables with it at the order cap, and every table with
 tables_from_three_equations, which forms them from its rows by the
 formulas linear in h, U and V.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import add, mul
 
 from hwkit.rational import ONE, ZERO, rat
 from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
-                          _append_scaled, series_div, series_sqrt)
+                          series_div, series_sqrt)
 
 
 def sinhc_series(order: int) -> RationalSeries:
@@ -110,6 +112,25 @@ def _theta(nums, n, shift):
     if shift:
         t = [c + i * a for i, (c, a) in enumerate(zip(t, nums[1:n]), 1)]
     return t
+
+
+def _append_scaled(rows, den, qs):
+    """Append each rational qs[i] to the integer vector rows[i], in place.
+
+    Every row is held over the one common denominator den.  Returns the
+    new one: when some q's denominator does not divide den, every row is
+    rescaled once by lcm // den, also the rows past len(qs), which get
+    nothing appended.
+    """
+    new = lcm(den, *(q.denominator for q in qs))
+    if new != den:
+        up = new // den
+        for nums in rows:
+            nums[:] = [c * up for c in nums]
+        den = new
+    for nums, q in zip(rows, qs):
+        nums.append(q.numerator * (den // q.denominator))
+    return den
 
 
 def riccati_three_equations(order: int, shift: int):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from hwkit.rational import ONE, ZERO, rat, rational_sqrt
 from hwkit.series import (OFFSET_PI2_HALF_MINUS_1, RationalSeries, SeriesError,
-                          revert_series, series_add, series_compose, series_div,
-                          series_from_text, series_mul, series_sqrt,
-                          series_to_text)
+                          _append_term, revert_series, series_add,
+                          series_compose, series_div, series_from_text,
+                          series_mul, series_sqrt, series_to_text)
 
 
 def lagrange_revert(g: RationalSeries) -> RationalSeries:
@@ -351,3 +351,33 @@ def test_sqrt_equals_reference(a, surd, root0):
 @given(series_strategy(max_order=6))
 def test_text_roundtrip(a):
     assert series_from_text(series_to_text(a)) == a
+
+
+def _primes_of(m):
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            yield p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        yield m
+
+
+@given(st.lists(st.integers(-10**40, 10**40), max_size=6), st.integers(1, 10**6),
+       st.integers(-10**40, 10**40), st.integers(-10**6, 10**6).filter(bool))
+def test_append_term_holds_every_value_over_the_least_denominator(nums, den, num, div):
+    row = list(nums)
+    new = _append_term(row, den, num, div)
+    q = Fraction(num, div * den)
+    assert len(row) == len(nums) + 1
+    assert Fraction(row[-1], new) == q
+    assert [Fraction(c, new) for c in row[:-1]] == [Fraction(c, den) for c in nums]
+    # new is a multiple of den that makes q an integer, and no smaller one
+    # does: the multiples that do are those of the least, so dropping any
+    # prime from new // den would still work if new were not the least
+    up, rest = divmod(new, den)
+    assert rest == 0 and up > 0 and (q * new).denominator == 1
+    for p in _primes_of(up):
+        assert (q * (new // p)).denominator != 1, p

@@ -4,8 +4,9 @@ import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
+import numpy as np
 import pytest
 
 from hwkit import tables
@@ -114,6 +115,15 @@ def test_tables_are_fraction_over_int():
     assert type(den) is int
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+def test_riccati_denominator_is_the_least_common_one(shift):
+    # the running denominator grows only as far as the terms need, so a
+    # bloated one (a rescale a term did not ask for) shows up here
+    for n in range(1, 41):
+        (_, u), den = tables._riccati(n, shift)
+        assert den == lcm(2, *(Fraction(c, den).denominator for c in u[1:])), n
+
+
 def _riccati_series(order, shift):
     """h and U from the U-only solve, and V = (U - 1 + 1/x)/2 derived here.
 
@@ -168,12 +178,11 @@ def test_riccati_rows_satisfy_the_riccati_identities(shift):
 @pytest.mark.parametrize("order", [*range(1, 13), DEFAULT_MAX_ORDER])
 def test_every_table_equals_the_three_equation_oracle(cold_cache, order):
     # the low orders run the solve's loops empty or once; the cap runs them
-    # longest.  One build per variable caches every table of its group, the
-    # order-1 J_BS tables too, which table() refuses
-    tables.table("h", order)
-    tables.table("h_log", order)
+    # longest.  Each table comes from its own builder, the order-1 J_BS
+    # tables too, which table() refuses
     for name, want in tables_from_three_equations(order).items():
-        assert tables._cache[name] == want, name
+        builder, _ = tables._BUILDERS[name]
+        assert builder(order)[name] == want, name
 
 
 def test_F_natural_is_U_integrated_once():
@@ -322,6 +331,42 @@ def cold_cache():
         tables._cache.update(saved)
 
 
+@pytest.mark.parametrize("order", [2.5, "3", True, 3.0, None])
+def test_table_refuses_an_order_that_is_not_an_integer(order):
+    with pytest.raises(SeriesError, match="order must be an integer"):
+        tables.table("F", order)
+
+
+def test_table_takes_numpy_integer_orders():
+    assert tables.table("F", np.int64(12)) == coeffs_F(12)
+    assert tables.table("G", np.uint8(3)) == coeffs_G(3)
+
+
+def test_cold_means_cold(cold_cache, monkeypatch):
+    # one Riccati solve per variable serves every table of that variable,
+    # a build forms only the tables it is asked for, and an emptied cache
+    # solves again
+    shifts = []
+    solve = tables._riccati
+
+    def counting(order, shift):
+        shifts.append(shift)
+        return solve(order, shift)
+
+    monkeypatch.setattr(tables, "_riccati", counting)
+    coeffs_F(24)
+    assert shifts == [0]
+    assert not {"h", "h_log", "jbs_omega", "G"} & tables._cache.keys()
+    coeffs_G(24)
+    coeffs_jbs(24, "log")
+    assert shifts == [0]
+    coeffs_h(24)
+    assert shifts == [0, 1]
+    tables._cache.clear()
+    coeffs_F(24)
+    assert shifts == [0, 1, 0]
+
+
 def test_order100_tables_pinned_after_a_small_build(cold_cache):
     # order-6 tables first, so every order-100 table grows over a cached one
     for get in TABLE_GETTERS.values():
@@ -354,7 +399,7 @@ def test_tables_independent_of_request_order(cold_cache, first):
 def test_group_build_keeps_higher_order_tables(cold_cache):
     high = coeffs_jbs(30, "log")
     del tables._cache["F"]           # leaves jbs_log cached at order 30
-    coeffs_F(12)                     # rebuilds the log group at order 12
+    coeffs_F(12)                     # rebuilds F, F_natural, jbs_log at 12
     assert tables._cache["jbs_log"].order == 30
     assert tables._cache["F"].order == 12
     assert coeffs_jbs(30, "log") == high
