@@ -1,4 +1,4 @@
-"""Closed-form evaluation of F, G and J_BS, plus the critical-point table.
+"""Closed forms of F, G, J_BS and the minimizer of I(a, .); critical points.
 
 These are the ground-truth oracles for the series evaluators.  Each value
 costs one transcendental root solve (hwkit.roots):
@@ -43,10 +43,6 @@ PI2_HALF = math.pi * math.pi / 2.0
 # |log rho| below which closed forms are replaced by the local series.
 SERIES_GUARD = 0.05
 _GUARD_ORDER = 24
-
-# perfbench/tracing.py wraps solve_zeta on this module; J_BS calls
-# solve_lambda(1/x) instead, so it stays bound here.
-_TRACED = (solve_zeta,)
 
 # the tables.table name of each target's exact Taylor table in y = log(rho)
 _TABLES = {"F": "F", "G": "G", "JBS": "jbs_log"}
@@ -133,6 +129,15 @@ def G_exact(rho):
         (solve_kappa, lambda kappa: kappa / np.sqrt(kappa / np.tanh(kappa) - 1.0)),
         (solve_lambda, lambda lam: (np.pi - lam)
          / np.sqrt(1.0 + (np.pi - lam) / np.tan(lam))))
+
+
+def rate_argmin(a: float) -> float:
+    """argmin_v I(a, v), one root solve (see pricing.rate_J_with_argmin)."""
+    if a >= 1.0:
+        s = 0.5 * solve_xi(a)
+        return a * s / math.sinh(s) if s else a
+    s = 0.5 * solve_zeta(a)
+    return a * s / math.sin(s) if s else a
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from . import exact
+from .pricing import _require_positive
 from .quadrature import gauss_legendre_nodes
 
 SMALL_T_THRESHOLD = 0.1
@@ -40,8 +41,7 @@ class ThetaSmallTimeError(RuntimeError):
 
 def theta_asympt(rho: float, t: float, F_eval=None, G_eval=None) -> float:
     """Leading small-t value of theta_{rho/t}(t)."""
-    if rho <= 0 or t <= 0:
-        raise ValueError("theta_asympt needs rho > 0 and t > 0")
+    _require_positive(rho=rho, t=t)
     F = F_eval(rho) if F_eval is not None else exact.F_exact(rho)
     G = G_eval(rho) if G_eval is not None else exact.G_exact(rho)
     return math.exp(-(F - exact.PI2_HALF) / t) * G / (2.0 * math.pi * t)
@@ -60,8 +60,7 @@ def theta_hw(r: float, t: float) -> float:
     (the cancellation makes node counts and precision explode); use
     theta_asympt with rho = r t there.
     """
-    if r <= 0 or t <= 0:
-        raise ValueError("theta_hw needs r > 0 and t > 0")
+    _require_positive(r=r, t=t)
     if t < SMALL_T_THRESHOLD:
         raise ThetaSmallTimeError(
             f"direct quadrature of theta_r(t) is unreliable for t < "
@@ -99,8 +98,7 @@ def theta_hw_stability(r: float, t: float) -> dict:
     O(1) or worse -- exactly the breakdown that motivates the asymptotic
     evaluation.
     """
-    if r <= 0 or t <= 0:
-        raise ValueError("need r > 0 and t > 0")
+    _require_positive(r=r, t=t)
     xi_max = math.sqrt(math.pi ** 2 + 2.0 * t * 60.0 * math.log(10.0))
     pref_log = math.log(r) - 0.5 * math.log(2.0 * math.pi ** 3 * t)
     values = []

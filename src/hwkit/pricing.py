@@ -91,6 +91,14 @@ def _require_finite(**values):
         raise ValueError("non-finite input: " + ", ".join(bad))
 
 
+def _require_positive(**values):
+    """_require_finite, then ValueError naming every input not above 0."""
+    _require_finite(**values)
+    bad = [f"{name}={v}" for name, v in values.items() if not v > 0]
+    if bad:
+        raise ValueError("non-positive input: " + ", ".join(bad))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Black-Scholes Asian call inputs (rates per year, sigma per sqrt-year)."""
@@ -102,10 +110,8 @@ class Scenario:
     K: float
 
     def __post_init__(self):
-        _require_finite(S0=self.S0, r=self.r, sigma=self.sigma, T=self.T,
-                        K=self.K)
-        if min(self.S0, self.sigma, self.T, self.K) <= 0:
-            raise ValueError("S0, sigma, T, K must be positive")
+        _require_finite(r=self.r)
+        _require_positive(S0=self.S0, sigma=self.sigma, T=self.T, K=self.K)
 
 
 @dataclass(frozen=True)
@@ -174,30 +180,24 @@ def _evaluators(F_eval, G_eval):
 
 def rate_I(a: float, v: float, F_eval=None) -> float:
     """I(a, v) = (1 + v^2)/(2a) + F(v/a) - pi^2/2; zero at a = v = 1."""
-    if a <= 0 or v <= 0:
-        raise ValueError("rate_I needs a > 0 and v > 0")
+    _require_positive(a=a, v=v)
     F = F_eval(v / a) if F_eval is not None else exact.F_exact(v / a)
     return (1.0 + v * v) / (2.0 * a) + float(F) - PI2_HALF
 
 
 def rate_J_with_argmin(a: float, F_eval=None) -> tuple:
-    """(inf_v I(a, v), argmin v), by bracketed minimization in log v.
+    """(inf_v I(a, v), argmin v); the infimum is J_BS(a)/4.
 
-    The infimum equals one quarter of the decay rate J_BS(a).
+    With rho = v/a, dI/dv = 0 reads a rho + F'(rho) = 0.  Along F's roots,
+    F'(rho) = -cosh(kappa) under rho = 1, where rho = kappa/sinh(kappa), so
+    a = sinh(2 kappa)/(2 kappa) and 2 kappa = solve_xi(a); and F'(rho) =
+    cos(lambda) over it, where rho = s/sin(s), s = pi - lambda, so a =
+    sin(2 s)/(2 s) and 2 s = solve_zeta(a).  v = a rho (exact.rate_argmin),
+    a where the root is 0; the value is I(a, v) on F_eval.
     """
-    if a <= 0:
-        raise ValueError("rate_J needs a > 0")
-    from scipy.optimize import minimize_scalar
-    x = math.log(a)
-
-    def phi(s):
-        return rate_I(a, math.exp(s), F_eval)
-
-    res = minimize_scalar(phi, bounds=(x - 4.0, x + 4.0), method="bounded",
-                          options={"xatol": 1e-10})
-    if not res.success:
-        raise RuntimeError(f"rate_J minimization failed at a={a}")
-    return float(res.fun), math.exp(float(res.x))
+    _require_positive(a=a)
+    v = exact.rate_argmin(a)
+    return rate_I(a, v, F_eval), v
 
 
 def rate_J(a: float, F_eval=None) -> float:
@@ -206,15 +206,15 @@ def rate_J(a: float, F_eval=None) -> float:
 
 def joint_density_leading(a: float, v: float, t: float, mu: float,
                           F_eval=None, G_eval=None) -> float:
-    """Leading-order joint density of (average, terminal) w.r.t. da dv."""
-    if min(a, v, t) <= 0:
-        raise ValueError("need a, v, t > 0")
-    G = G_eval(v / a) if G_eval is not None else exact.G_exact(v / a)
-    I = rate_I(a, v, F_eval)
-    log_dens = (mu * math.log(v) - 0.5 * mu * mu * t - I / t
-                + math.log(float(G)) - math.log(2.0 * math.pi * t)
-                - math.log(a) - math.log(v))
-    return math.exp(log_dens) if log_dens > -700 else 0.0
+    """Leading-order joint density of (average, terminal) w.r.t. da dv: the
+    _z_kernel integrand at z = log(v/a), x = log a, by _log_q, over a v."""
+    _require_finite(mu=mu)
+    _require_positive(a=a, v=v, t=t)
+    x = math.log(a)
+    w, c = _z_kernel(t, mu, F_eval or exact.F_exact, G_eval or exact.G_exact)(
+        np.array([math.log(v / a)]))
+    return math.exp(_log_q(*_z_sums(x, w, c, np.ones(1), t), x, t, mu) - x
+                    - math.log(v))
 
 
 # -- adaptive integration windows ------------------------------------------------
@@ -500,9 +500,8 @@ def _strikes(k, what):
 
 def marginal(tau: float, mu: float, F_eval=None, G_eval=None) -> Marginal:
     """The marginal density of log a at (tau, mu): the build for every x."""
-    _require_finite(tau=tau, mu=mu)
-    if tau <= 0:
-        raise ValueError("marginal needs tau > 0")
+    _require_finite(mu=mu)
+    _require_positive(tau=tau)
     F_eval, G_eval = _evaluators(F_eval, G_eval)
     return Marginal(tau, mu, F_eval, G_eval, (-np.inf, np.inf), (True, True))
 
@@ -520,9 +519,8 @@ def norm_factor(tau: float, mu: float, F_eval=None, G_eval=None) -> float:
     level takes K~_{-mu} at all its nodes in one batched bessel_k_scaled
     call.
     """
-    _require_finite(tau=tau, mu=mu)
-    if tau <= 0:
-        raise ValueError("norm_factor needs tau > 0")
+    _require_finite(mu=mu)
+    _require_positive(tau=tau)
     F_eval, G_eval = _evaluators(F_eval, G_eval)
 
     def level(zn, zw):
@@ -549,9 +547,8 @@ def f0_density(a: float, t: float, mu: float, F_eval=None, G_eval=None,
     """Normalized leading density f0(a, t) of the time average w.r.t. da/a:
     q(log a), the marginal's z-integral on the window of the one x = log a,
     over norm (by default the marginal's mass, norm_direct)."""
-    _require_finite(a=a, t=t, mu=mu)
-    if a <= 0 or t <= 0:
-        raise ValueError("f0_density needs a > 0 and t > 0")
+    _require_finite(mu=mu)
+    _require_positive(a=a, t=t)
     F_eval, G_eval = _evaluators(F_eval, G_eval)
     if norm is None:
         norm = norm_direct(t, mu, F_eval, G_eval)

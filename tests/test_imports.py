@@ -26,8 +26,11 @@ SCRIPTS_AND_TESTS = sorted(
 
 def test_import_loads_no_scipy_numpy_polynomial_or_mpmath():
     # all three cost start-up time; hwkit imports them inside the
-    # functions that need them
-    code = ("import sys, hwkit; print(sorted(m for m in sys.modules "
+    # functions that need them, and the rate function and the joint
+    # density need none (the minimizer of I(a, .) is closed form)
+    code = ("import sys, hwkit; hwkit.rate_J(2.0); "
+            "hwkit.joint_density_leading(1.1, 0.9, 0.05, 0.3); "
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'mpmath') "
             "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

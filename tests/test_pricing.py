@@ -2,6 +2,8 @@
 
 import gc
 import math
+import re
+import sys
 import warnings
 import weakref
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hwkit import exact, pricing
 from hwkit.evaluate import make_evaluator
 from hwkit.exact import JBS_exact
+from hwkit.hartman import theta_asympt, theta_hw, theta_hw_stability
 from hwkit.pricing import (TABLE3_SCENARIOS, ReducedParams, Scenario,
                            exact_mean, f0_density, joint_density_leading,
                            marginal, norm_direct, norm_factor,
@@ -86,6 +89,54 @@ def test_rate_J_minimizer_interior(evals40):
 def test_rate_J_at_one(evals40):
     F40, _ = evals40
     assert rate_J(1.0, F40) < 1e-12
+
+
+def test_rate_J_is_a_quarter_of_JBS_over_the_double_range():
+    # the whole double range, 1e6 and the doubles next to 1; at those two,
+    # J_BS/4 is about 1e-32 while I(a, v) sums terms of size 1, so the
+    # bound there is two ulps of 1
+    eps = sys.float_info.epsilon
+    for a in [*np.geomspace(1e-300, 1e300, 601), 1e6,
+              np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]:
+        ref = JBS_exact(float(a)) / 4.0
+        assert abs(rate_J(float(a)) - ref) <= 1e-13 * ref + 2.0 * eps, a
+
+
+@pytest.mark.parametrize("a", [*np.geomspace(1e-2, 1e2, 17), 1e6])
+def test_rate_J_argmin_is_where_I_is_least(a):
+    # the Newton step in u = log v from v*, by Richardson-extrapolated
+    # central differences of I(a, v* e^u), is rounding (under 1e-12 here;
+    # a v* off by 1e-6 reads 1e-6), and I curves upward there
+    a = float(a)
+    _, vstar = rate_J_with_argmin(a)
+
+    def I(u):
+        return rate_I(a, vstar * math.exp(u))
+
+    def slope(h):
+        return (I(h) - I(-h)) / (2.0 * h)
+
+    h = 1e-3
+    curvature = (I(h) - 2.0 * I(0.0) + I(-h)) / (h * h)
+    assert curvature > 0.0
+    assert abs((4.0 * slope(h) - slope(2.0 * h)) / 3.0 / curvature) < 1e-9
+
+
+@pytest.mark.parametrize("fn, args", [
+    (rate_I, {"a": 1.0, "v": 1.0}),
+    (rate_J, {"a": 1.0}),
+    (rate_J_with_argmin, {"a": 1.0}),
+    (joint_density_leading, {"a": 1.0, "v": 1.0, "t": 0.1, "mu": 0.0}),
+    (theta_asympt, {"rho": 1.0, "t": 0.1}),
+    (theta_hw, {"r": 1.0, "t": 0.5}),
+    (theta_hw_stability, {"r": 1.0, "t": 0.5}),
+], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_density_and_theta_refuse_non_finite_inputs(fn, args, bad):
+    for name in args:
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-finite input: {name}={bad}")):
+            fn(**{**args, name: bad})
 
 
 def test_joint_density_peak_near_center(evals40):
